@@ -58,20 +58,9 @@ def activity(P: Polymatroid, basis: Sequence[int]) -> ActivityReport:
     return ActivityReport(vec, internal, external)
 
 
-def _distribution(P: Polymatroid):
-    interior = [0] * (P.n + 1)
-    exterior = [0] * (P.n + 1)
-    for basis in P.bases():
-        internal, external = _active_sets(P.n, basis, P.is_member)
-        interior[P.n - len(internal)] += 1
-        exterior[P.n - len(external)] += 1
-    return interior, exterior
-
-
 def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) computed in one sweep over the bases."""
-    interior, exterior = _distribution(P)
-    return Polynomial(tuple(interior), "x"), Polynomial(tuple(exterior), "y")
+    """(interior, exterior) in one sweep over the bases, probing by set lookup."""
+    return point_set_polynomials(P.bases(), P.n)
 
 
 def interior_polynomial(P: Polymatroid) -> Polynomial:

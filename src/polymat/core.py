@@ -8,14 +8,14 @@ and sum(a) = f({1..n}).  Those maximal lattice points are called the
 bases here.
 
 Derived constructions (dual, deletion, contraction, coordinate slices,
-relabelings) all return fresh validated polymatroids.
+relabelings) return fresh polymatroids, valid by theorem, not re-checked.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of
+from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
 
 DEFAULT_MAX_GROUND_SET = 16
 
@@ -178,10 +178,20 @@ class Polymatroid:
     Construction runs the axiom checks (normalization, monotonicity,
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
+    The derived constructions below are valid by theorem and skip them.
     """
 
     def __init__(self, table: RankTable):
         _check_axioms(table)
+        self._set_table(table)
+
+    @classmethod
+    def _derived(cls, n: int, values: Sequence[int]) -> Polymatroid:
+        P = cls.__new__(cls)
+        P._set_table(RankTable(n, values, max_n=n))
+        return P
+
+    def _set_table(self, table: RankTable) -> None:
         self.table = table
         self.n = table.n
         full = full_mask(self.n)
@@ -280,14 +290,11 @@ class Polymatroid:
         """Rank table f*(I) = f([n] \\ I) - f([n]) + sum of singleton ranks over I."""
         n = self.n
         values = self.table.values
-        singles = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            singles[m] = singles[m ^ low] + self.coord_max[low.bit_length() - 1]
+        singles = subset_sums(self.coord_max)
         dual_values = [
             values[complement(m, n)] - self.full_rank + singles[m] for m in iter_masks(n)
         ]
-        return Polymatroid(RankTable(n, dual_values, max_n=n))
+        return Polymatroid._derived(n, dual_values)
 
     def grounded(self) -> Polymatroid:
         """The translate of this polymatroid whose coordinate minima are zero.
@@ -298,13 +305,9 @@ class Polymatroid:
         """
         if not any(self.coord_min):
             return self
-        n = self.n
-        shifts = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            shifts[m] = shifts[m ^ low] + self.coord_min[low.bit_length() - 1]
-        values = [self.table.values[m] - shifts[m] for m in iter_masks(n)]
-        return Polymatroid(RankTable(n, values, max_n=n))
+        shifts = subset_sums(self.coord_min)
+        values = [v - shift for v, shift in zip(self.table.values, shifts)]
+        return Polymatroid._derived(self.n, values)
 
     def delete(self, t: int) -> Polymatroid:
         """Drop element t; remaining elements are renumbered downward."""
@@ -313,7 +316,7 @@ class Polymatroid:
             raise ValueError("cannot delete from a one-element ground set")
         values = self.table.values
         vals = [values[_inject(m, t)] for m in iter_masks(self.n - 1)]
-        return Polymatroid(RankTable(self.n - 1, vals, max_n=self.n))
+        return Polymatroid._derived(self.n - 1, vals)
 
     def contract(self, t: int) -> Polymatroid:
         """Contract element t: f(I + t) - f({t}) on the remaining elements."""
@@ -324,7 +327,7 @@ class Polymatroid:
         bt = bit(t)
         ft = values[bt]
         vals = [values[_inject(m, t) | bt] - ft for m in iter_masks(self.n - 1)]
-        return Polymatroid(RankTable(self.n - 1, vals, max_n=self.n))
+        return Polymatroid._derived(self.n - 1, vals)
 
     def slice_at(self, t: int, j: int) -> Polymatroid:
         """Polymatroid of bases with coordinate t pinned to j, t projected out.
@@ -346,7 +349,7 @@ class Polymatroid:
         for m in iter_masks(self.n - 1):
             im = _inject(m, t)
             vals.append(min(values[im], values[im | bt] - j))
-        return Polymatroid(RankTable(self.n - 1, vals, max_n=self.n))
+        return Polymatroid._derived(self.n - 1, vals)
 
     def relabel(self, sigma: Sequence[int]) -> Polymatroid:
         """Apply a permutation: element i is renamed sigma[i-1]."""
@@ -361,7 +364,7 @@ class Polymatroid:
                 if m >> t & 1:
                     nm |= bit(sigma[t])
             new_values[nm] = values[m]
-        return Polymatroid(RankTable(n, new_values, max_n=n))
+        return Polymatroid._derived(n, new_values)
 
     # -- misc ------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .matroids import Matroid, tutte_polynomial
 from .polynomials import Polynomial
 from .structure import binom, rank_drop_thresholds
+from .subsets import elements_of
 
 
 class _UnionFind:
@@ -54,6 +55,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{vertex_count}")
             edge_list.append((u, v))
         self.edges = tuple(edge_list)
+        self._cycle_matroid: Matroid | None = None
 
     @property
     def edge_count(self) -> int:
@@ -105,7 +107,10 @@ class Graph:
             raise ValueError("cycle matroid requires a connected graph")
         if self.vertex_count == 1:
             raise ValueError("cycle matroid needs at least one edge in its bases")
-        return Matroid(self.edge_count, [_mask_elements(m) for m in self.spanning_tree_masks()])
+        if self._cycle_matroid is None:
+            trees = [elements_of(m) for m in self.spanning_tree_masks()]
+            self._cycle_matroid = Matroid(self.edge_count, trees)
+        return self._cycle_matroid
 
     def bonds(self, *, max_vertices: int = 12) -> tuple[int, ...]:
         """Minimal edge cuts as edge masks, sorted by (size, mask).
@@ -196,10 +201,6 @@ class Graph:
         return best
 
 
-def _mask_elements(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @dataclass(frozen=True)
 class CutFormulaRow:
     i: int
@@ -233,7 +234,7 @@ def cut_formula_check(G: Graph, k: int) -> CutFormulaReport:
     the coefficient of y^(nullity - i) in T(1, y) must equal
     binom(|V| + i - 2, i) - sum_j binom(|V| + i - 2 - j, i - j) * (bonds of size j),
     and 3 (k + 1) / 2 may not exceed the second rank-drop threshold of
-    the cycle matroid's polymatroid.
+    the cycle matroid's polymatroid (vacuous with two vertices: no such drop).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -254,5 +255,5 @@ def cut_formula_check(G: Graph, k: int) -> CutFormulaReport:
             value -= binom(nv + i - 2 - j, i - j) * counts.get(j, 0)
         rows.append(CutFormulaRow(i, value, t1y.coefficient(nullity - i)))
     r2 = rank_drop_thresholds(G.cycle_matroid().to_polymatroid()).get(2)
-    threshold_ok = r2 is not None and 3 * (k + 1) <= 2 * r2
+    threshold_ok = r2 is None or 3 * (k + 1) <= 2 * r2
     return CutFormulaReport(k, nullity, counts, tuple(rows), threshold_ok)

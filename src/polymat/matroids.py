@@ -58,6 +58,7 @@ class Matroid:
         self.rank = sizes.pop()
         self.base_masks = tuple(masks)
         self._check_exchange()
+        self._polymatroid: Polymatroid | None = None
 
     def _check_exchange(self):
         base_set = set(self.base_masks)
@@ -82,8 +83,10 @@ class Matroid:
 
     def to_polymatroid(self) -> Polymatroid:
         """Rank table of the matroid rank function; its bases are the 0/1 indicators."""
-        values = [self.subset_rank(m) for m in iter_masks(self.n)]
-        return Polymatroid(RankTable(self.n, values, max_n=self.n))
+        if self._polymatroid is None:
+            values = [self.subset_rank(m) for m in iter_masks(self.n)]
+            self._polymatroid = Polymatroid(RankTable(self.n, values, max_n=self.n))
+        return self._polymatroid
 
     # -- matroid-native structure (kept separate from the polymatroid view
     #    so the two can be compared as independent routes) ----------------

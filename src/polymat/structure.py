@@ -22,7 +22,7 @@ from math import comb
 
 from .activity import polynomial_pair
 from .core import Polymatroid
-from .subsets import bit, complement, elements_of, full_mask, iter_masks
+from .subsets import bit, complement, elements_of, full_mask, iter_masks, subset_sums
 
 
 def binom(a: int, b: int) -> int:
@@ -79,14 +79,6 @@ def hyperplane_sets(P: Polymatroid) -> dict[int, frozenset[int]]:
 # -- deficiency and circuits -------------------------------------------
 
 
-def _singleton_sums(P: Polymatroid) -> list[int]:
-    sums = [0] * (1 << P.n)
-    for m in range(1, 1 << P.n):
-        low = m & -m
-        sums[m] = sums[m ^ low] + P.coord_max[low.bit_length() - 1]
-    return sums
-
-
 def deficiency(P: Polymatroid, mask: int) -> int:
     """Sum of singleton ranks minus the rank; zero on singletons, monotone."""
     return sum(P.coord_max[e - 1] for e in elements_of(mask)) - P.rank(mask)
@@ -98,7 +90,7 @@ def full_deficiency(P: Polymatroid) -> int:
 
 def circuit_family(P: Polymatroid) -> frozenset[int]:
     """Subsets of deficiency exactly 1 all of whose proper subsets are tight."""
-    sums = _singleton_sums(P)
+    sums = subset_sums(P.coord_max)
     values = P.table.values
     out = []
     for m in range(1, 1 << P.n):
@@ -151,7 +143,7 @@ def rank_drop_thresholds(P: Polymatroid) -> dict[int, int]:
 def deficiency_thresholds(P: Polymatroid) -> dict[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency)."""
     g = full_deficiency(P)
-    sums = _singleton_sums(P)
+    sums = subset_sums(P.coord_max)
     best = [P.n + 1] * (g + 1)
     for m in iter_masks(P.n):
         d = sums[m] - P.rank(m)
@@ -304,7 +296,7 @@ def binomial_prefix_check(P: Polymatroid, k: int) -> PrefixEquivalence:
     g = full_deficiency(P)
     ext_binomial = all(exterior.coefficient(i) == binom(fr + i - 1, i) for i in range(k + 1))
     int_binomial = all(interior.coefficient(i) == binom(g + i - 1, i) for i in range(k + 1))
-    sums = _singleton_sums(P)
+    sums = subset_sums(P.coord_max)
     ext_condition = True
     int_condition = True
     for m in iter_masks(P.n):

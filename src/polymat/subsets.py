@@ -7,7 +7,7 @@ ints and convert to element tuples only at reporting boundaries.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def bit(element: int) -> int:
@@ -51,3 +51,12 @@ def contains(mask: int, element: int) -> bool:
 def iter_masks(n: int) -> range:
     """All subset masks of {1..n} in ascending numeric order."""
     return range(1 << n)
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """Sum of ``weights[e - 1]`` over the elements e of every mask, indexed by mask."""
+    sums = [0] * (1 << len(weights))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
+    return sums

@@ -6,7 +6,7 @@ import pytest
 
 from polymat import Polymatroid, RankTable
 
-from generators import corpus
+from generators import corpus, wide_corpus
 
 # A five-element truncated weighted-coverage table used as the shared
 # worked example across the suite.  Its exterior polynomial, structural
@@ -50,3 +50,8 @@ def full_corpus() -> list[Polymatroid]:
 @pytest.fixture(scope="session")
 def small_corpus(full_corpus) -> list[Polymatroid]:
     return full_corpus[:60]
+
+
+@pytest.fixture(scope="session")
+def wide_instances() -> list[Polymatroid]:
+    return wide_corpus()

@@ -50,3 +50,9 @@ def random_polymatroid(rng: random.Random, n: int | None = None) -> Polymatroid:
 def corpus(seed: int = 20260814, count: int = 200) -> list[Polymatroid]:
     rng = random.Random(seed)
     return [random_polymatroid(rng) for _ in range(count)]
+
+
+def wide_corpus(seed: int = 20261017) -> list[Polymatroid]:
+    """Ten instances each with n = 6, 7 and 8, past the sizes ``corpus`` draws."""
+    rng = random.Random(seed)
+    return [random_polymatroid(rng, n) for n in (6, 7, 8) for _ in range(10)]

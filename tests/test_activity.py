@@ -17,7 +17,7 @@ from polymat import (
     translate,
 )
 
-from oracles import brute_polynomial_counts
+from oracles import brute_bases, brute_polynomial_counts
 
 
 def test_activity_requires_a_basis(example5):
@@ -39,10 +39,12 @@ def test_greedy_basis_fully_internally_active(full_corpus):
         assert report.internal == frozenset(range(1, P.n + 1))
 
 
-def test_polynomials_match_brute_force(small_corpus):
-    for P in small_corpus:
+def test_polynomials_match_brute_force(small_corpus, wide_instances):
+    # Bases by a box scan and activity by explicit vector lookup share no
+    # code with the library's enumeration and activity sweep.
+    for P in small_corpus + wide_instances:
         interior, exterior = polynomial_pair(P)
-        brute_interior, brute_exterior = brute_polynomial_counts(P.bases(), P.n)
+        brute_interior, brute_exterior = brute_polynomial_counts(brute_bases(P.table), P.n)
         assert interior == Polynomial(brute_interior, "x")
         assert exterior == Polynomial(brute_exterior, "y")
 
@@ -66,8 +68,8 @@ def test_single_wrappers(example5):
     assert exterior_polynomial(example5).coeffs == (1, 3, 5, 6, 2)
 
 
-def test_slice_recursion_every_element(full_corpus):
-    for P in full_corpus:
+def test_slice_recursion_every_element(full_corpus, wide_instances):
+    for P in full_corpus + wide_instances:
         interior, exterior = polynomial_pair(P)
         for t in range(1, P.n + 1):
             assert exterior_by_slices(P, t) == exterior

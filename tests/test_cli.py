@@ -239,6 +239,15 @@ def test_verify_samples_pass(capsys):
         assert "FAIL" not in out
 
 
+def test_verify_two_vertex_graph_exits_0(capsys, tmp_path):
+    path = tmp_path / "triple.graph"
+    path.write_text("kind graph\nvertices 2\nedge 1 2\nedge 1 2\nedge 1 2\n")
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert "PASS cut-threshold-bound" in out
+    assert "FAIL" not in out
+
+
 def test_verify_failure_exits_1(capsys, table_file, monkeypatch):
     def failing(P):
         return (CheckResult("demo-check", False, "forced failure"),)

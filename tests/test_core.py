@@ -191,3 +191,27 @@ def test_translate_and_negate():
     assert negate(pts) == frozenset({(0, -1), (-1, 0)})
     with pytest.raises(ValueError):
         translate(pts, (1,))
+
+
+def _derived_constructions(P):
+    yield P.dual()
+    yield P.grounded()
+    yield P.relabel(list(range(P.n, 0, -1)))
+    for t in range(1, P.n + 1):
+        yield P.delete(t)
+        yield P.contract(t)
+        for j in P.coordinate_range(t):
+            yield P.slice_at(t, j)
+
+
+def test_derived_constructions_are_valid(full_corpus, wide_instances):
+    # Derived polymatroids skip the axiom checks because they are valid
+    # by theorem; a validated rebuild of each table must agree.
+    for P in full_corpus + wide_instances:
+        for Q in _derived_constructions(P):
+            rebuilt = Polymatroid(Q.table)
+            assert (Q.coord_min, Q.coord_max, Q.full_rank) == (
+                rebuilt.coord_min,
+                rebuilt.coord_max,
+                rebuilt.full_rank,
+            )

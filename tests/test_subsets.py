@@ -1,7 +1,7 @@
 import pytest
 
 from polymat import bit, complement, elements_of, full_mask, iter_masks, mask_of
-from polymat.subsets import contains
+from polymat.subsets import contains, subset_sums
 
 
 def test_bit_positions():
@@ -50,3 +50,8 @@ def test_iter_masks_covers_everything():
 def test_roundtrip_all_masks():
     for m in iter_masks(5):
         assert mask_of(elements_of(m), 5) == m
+
+
+def test_subset_sums():
+    assert subset_sums([]) == [0]
+    assert subset_sums([2, 5, 1]) == [0, 2, 5, 7, 1, 3, 6, 8]

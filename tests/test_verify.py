@@ -87,8 +87,16 @@ def test_graph_suite_on_k4():
 
 
 def test_graph_suite_on_loopy_multigraph():
-    G = Graph(3, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 3)])
-    assert_all_pass(verify_graph(G))
+    for G in (
+        Graph(3, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 3)]),
+        # Two vertices: cycle rank one, so no rank drop of two exists.
+        Graph(2, [(1, 2), (1, 2), (1, 2)]),
+        Graph(2, [(1, 2), (1, 2), (2, 2)]),
+        Graph(2, [(1, 2)]),
+    ):
+        checks = verify_graph(G)
+        assert_all_pass(checks)
+        assert "cut-threshold-bound" in {c.name for c in checks}
 
 
 def test_graph_suite_on_tree():
