@@ -1,9 +1,10 @@
 """Command-line interface.
 
-    polymat <command> [--kind interior|exterior|both] [--method direct|recursion]
-            [--element T] [--machine] [--max-n N] <file>
+    polymat [options] <command> <file>
 
-Commands: validate, bases, poly, structure, coeffs, verify.  The input
+Commands: validate, bases, poly, structure, coeffs, verify; options
+(--kind, --method, --element, --machine, --max-n) may come before or
+after the command, and ``polymat --help`` describes both.  The input
 file (or ``-`` for standard input) holds one document in the format of
 :mod:`polymat.documents`; graphs, matroids, and hypergraphs are turned
 into polymatroids before the polynomial commands run.
@@ -42,58 +43,28 @@ from .structure import (
 from .subsets import elements_of
 from .verify import verify_graph, verify_hypergraph, verify_matroid, verify_polymatroid
 
-_COMMAND_HELP = {
-    "validate": "parse the document and check its defining axioms",
-    "bases": "list every basis vector",
-    "poly": "compute the interior and/or exterior polynomial",
-    "structure": "report flats, set families, and thresholds",
-    "coeffs": "compare closed-form coefficients against enumeration",
-    "verify": "run the full identity suite for the input",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="polymat",
-        description="Interior and exterior polynomials of integer polymatroids, "
+        usage="%(prog)s [options] <command> <file>",
+        description="Interior and exterior polynomials of integer polymatroids,\n"
         "with graph, matroid, and hypergraph frontends.",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMAND_HELP.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--kind",
-            choices=("interior", "exterior", "both"),
-            default="both",
-            help="which polynomial(s) to use (poly, coeffs); default both",
-        )
-        p.add_argument(
-            "--method",
-            choices=("direct", "recursion"),
-            default="direct",
-            help="poly route: activity enumeration or coordinate-slice recursion",
-        )
-        p.add_argument(
-            "--element",
-            type=int,
-            default=None,
-            help="pivot element for '--method recursion' (default: the last one)",
-        )
-        p.add_argument(
-            "--machine",
-            action="store_true",
-            help="emit a JSON report instead of text",
-        )
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=None,
-            dest="max_n",
-            help="override the size guard (default "
-            f"{DEFAULT_MAX_GROUND_SET} for rank tables and hypergraphs, "
-            f"{DEFAULT_MAX_ELEMENTS} for graphs and matroids)",
-        )
-        p.add_argument("file", help="input document path, or - for standard input")
+    parser.add_argument("command", choices=_COMMANDS, metavar="<command>", help="see below")
+    parser.add_argument("file", metavar="<file>", help="input document path, or - for stdin")
+    parser.add_argument("--kind", choices=("interior", "exterior", "both"), default="both",
+                        help="which polynomial(s) to use (poly, coeffs); default both")
+    parser.add_argument("--method", choices=("direct", "recursion"), default="direct",
+                        help="poly route: activity enumeration or coordinate-slice recursion")
+    parser.add_argument("--element", type=int, metavar="T",
+                        help="pivot element for '--method recursion' (default: the last one)")
+    parser.add_argument("--machine", action="store_true", help="emit a JSON report instead of text")
+    parser.add_argument("--max-n", type=int, metavar="N", help="override the size guard (default "
+                        f"{DEFAULT_MAX_GROUND_SET} for rank tables and hypergraphs, "
+                        f"{DEFAULT_MAX_ELEMENTS} for graphs and matroids)")
     return parser
 
 
@@ -177,6 +148,7 @@ def _poly_payload(poly: Polynomial) -> dict:
 
 
 def _cmd_validate(doc, obj, args) -> int:
+    """parse the document and check its defining axioms"""
     P = _as_polymatroid(obj)
     lines = [f"valid {doc.kind}"]
     payload = {"command": "validate", "kind": doc.kind, "valid": True}
@@ -200,6 +172,7 @@ def _cmd_validate(doc, obj, args) -> int:
 
 
 def _cmd_bases(doc, obj, args) -> int:
+    """list every basis vector"""
     P = _as_polymatroid(obj)
     bases = P.bases()
     lines = [f"bases {len(bases)}"]
@@ -233,6 +206,7 @@ def _compute_polynomials(P: Polymatroid, args) -> dict[str, Polynomial]:
 
 
 def _cmd_poly(doc, obj, args) -> int:
+    """compute the interior and/or exterior polynomial"""
     P = _as_polymatroid(obj)
     polys = _compute_polynomials(P, args)
     lines = []
@@ -249,6 +223,7 @@ def _cmd_poly(doc, obj, args) -> int:
 
 
 def _cmd_structure(doc, obj, args) -> int:
+    """report flats, set families, and thresholds"""
     P = _as_polymatroid(obj)
     summary = structure_summary(P)
     lines = [
@@ -307,6 +282,7 @@ def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
 
 
 def _cmd_coeffs(doc, obj, args) -> int:
+    """compare closed-form coefficients against enumeration"""
     P = _as_polymatroid(obj)
     interior, exterior = polynomial_pair(P)
     sections = []
@@ -341,6 +317,7 @@ def _cmd_coeffs(doc, obj, args) -> int:
 
 
 def _cmd_verify(doc, obj, args) -> int:
+    """run the full identity suite for the input"""
     if isinstance(obj, Graph):
         checks = verify_graph(obj)
     elif isinstance(obj, Matroid):

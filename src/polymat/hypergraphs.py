@@ -54,6 +54,7 @@ class Hypergraph:
         if not masks:
             raise ValueError("a hypergraph needs at least one hyperedge")
         self.edge_masks = tuple(masks)
+        self._polymatroid: Polymatroid | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -104,10 +105,13 @@ class Hypergraph:
 
     def to_polymatroid(self) -> Polymatroid:
         """Polymatroid of the subset rank; requires a connected hypergraph."""
-        if not self.is_connected():
-            raise ValueError("hypergraph must be connected")
-        values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
-        return Polymatroid(RankTable(self.edge_count, values, max_n=self.edge_count))
+        if self._polymatroid is None:
+            if not self.is_connected():
+                raise ValueError("hypergraph must be connected")
+            values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
+            table = RankTable(self.edge_count, values, max_n=self.edge_count)
+            self._polymatroid = Polymatroid(table)
+        return self._polymatroid
 
     def cyclomatic_number(self, edge_subset_mask: int) -> int:
         """Independent cycles of the incidence graph restricted to the subset."""

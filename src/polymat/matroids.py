@@ -42,7 +42,9 @@ class Matroid:
     """Matroid on {1..n} from an explicit list of bases.
 
     Bases must be nonempty as a collection, equicardinal, and satisfy
-    the exchange axiom; all three are checked on construction.
+    the exchange axiom; all three are checked on construction.  The rank
+    of every subset is then tabulated once from the bases, and every
+    rank query after that is a lookup.
     """
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
@@ -58,6 +60,9 @@ class Matroid:
         self.rank = sizes.pop()
         self.base_masks = tuple(masks)
         self._check_exchange()
+        self._ranks = tuple(
+            max((m & b).bit_count() for b in masks) for m in iter_masks(n)
+        )
         self._polymatroid: Polymatroid | None = None
 
     def _check_exchange(self):
@@ -79,13 +84,12 @@ class Matroid:
 
     def subset_rank(self, mask: int) -> int:
         """Largest intersection of the subset with a base."""
-        return max((mask & b).bit_count() for b in self.base_masks)
+        return self._ranks[mask]
 
     def to_polymatroid(self) -> Polymatroid:
         """Rank table of the matroid rank function; its bases are the 0/1 indicators."""
         if self._polymatroid is None:
-            values = [self.subset_rank(m) for m in iter_masks(self.n)]
-            self._polymatroid = Polymatroid(RankTable(self.n, values, max_n=self.n))
+            self._polymatroid = Polymatroid(RankTable(self.n, self._ranks, max_n=self.n))
         return self._polymatroid
 
     # -- matroid-native structure (kept separate from the polymatroid view

@@ -281,6 +281,47 @@ def test_missing_file_exits_2(capsys):
     assert err.startswith("error: cannot read input")
 
 
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: polymat [options] <command> <file>")
+    names = ("validate", "bases", "poly", "structure", "coeffs", "verify")
+    assert tuple(cli._COMMANDS) == names
+    for name in names:
+        assert f"\n  {name:<10} {cli._COMMANDS[name].__doc__}\n" in out
+    assert "validate   parse the document and check its defining axioms" in out
+
+
+@pytest.mark.parametrize(
+    "options", [["--machine"], ["--kind", "exterior"], ["--machine", "--kind", "exterior"]]
+)
+def test_options_before_or_after_command(capsys, table_file, options):
+    _, expected, _ = run(capsys, ["poly", *options, table_file])
+    for argv in ([*options, "poly", table_file], ["poly", table_file, *options]):
+        assert run(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["bogus", "FILE"], "argument <command>: invalid choice: 'bogus'"),
+        (["validate"], "the following arguments are required: <file>"),
+        (["poly", "--kind", "bogus", "FILE"], "argument --kind: invalid choice: 'bogus'"),
+        (["poly", "--element", "x", "FILE"], "argument --element: invalid int value: 'x'"),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, table_file, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([table_file if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"polymat: error: {reason}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_parse_error_reports_position(capsys, tmp_path):
     path = tmp_path / "broken.graph"
     path.write_text("kind graph\nvertices 2\nedge 1 5\n")

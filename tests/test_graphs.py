@@ -28,6 +28,19 @@ def c4() -> Graph:
     return Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
 
+def k33() -> Graph:
+    return Graph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+
+
+def w5() -> Graph:
+    rim = [(i, i % 5 + 1) for i in range(1, 6)]
+    return Graph(6, rim + [(i, 6) for i in range(1, 6)])
+
+
+def k5() -> Graph:
+    return Graph(5, list(itertools.combinations(range(1, 6), 2)))
+
+
 def random_multigraph(rng: random.Random) -> Graph:
     nv = rng.randint(2, 5)
     count = rng.randint(1, 7)
@@ -107,6 +120,26 @@ def test_cycle_matroid_bases_are_tree_masks():
     M = G.cycle_matroid()
     trees = set(G.spanning_tree_masks())
     assert set(M.base_masks) == trees
+
+
+def test_cycle_matroid_rank_table_matches_union_find():
+    # The matroid tabulates its ranks from the base list; the graph counts
+    # components with union-find, so the two routes share no code.
+    rng = random.Random(41)
+    multigraphs = []
+    while len(multigraphs) < 4:
+        G = random_multigraph(rng)
+        pairs = [tuple(sorted(e)) for e in G.edges]
+        has_loop = any(u == v for u, v in pairs)
+        has_parallel = len(set(pairs)) < len(pairs)
+        if G.edge_count >= 6 and G.is_connected() and has_loop and has_parallel:
+            multigraphs.append(G)
+    for G in [k4(), k33(), w5(), k5()] + multigraphs:
+        masks = range(1 << G.edge_count)
+        expected = [G.subset_rank(m) for m in masks]
+        M = G.cycle_matroid()
+        assert [M.subset_rank(m) for m in masks] == expected
+        assert list(M.to_polymatroid().table.values) == expected
 
 
 def test_cycle_matroid_requires_connected_graph_with_edges():

@@ -140,6 +140,7 @@ def test_tree_degree_vectors_match_polymatroid_bases():
     rng = random.Random(29)
     for H in connected_samples(rng, 40):
         assert H.tree_degree_vectors() == frozenset(H.to_polymatroid().bases())
+        assert H.to_polymatroid() is H.to_polymatroid()
 
 
 def test_tree_degree_vectors_against_brute_spanning_trees():
