@@ -7,12 +7,13 @@ belongs to the polymatroid when sum(a[I]) <= f(I) for every subset I
 and sum(a) = f({1..n}).  Those maximal lattice points are called the
 bases here.
 
-Derived constructions (dual, deletion, contraction, coordinate slices,
-relabelings) return fresh polymatroids, valid by theorem, not re-checked.
+The axioms are checked once, on tables from outside.  Derived constructions
+and the frontends' rank functions are valid by theorem and skip the check.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -178,7 +179,7 @@ class Polymatroid:
     Construction runs the axiom checks (normalization, monotonicity,
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
-    The derived constructions below are valid by theorem and skip them.
+    Tables valid by theorem come in through ``_trusted`` and skip them.
     """
 
     def __init__(self, table: RankTable):
@@ -186,7 +187,8 @@ class Polymatroid:
         self._set_table(table)
 
     @classmethod
-    def _derived(cls, n: int, values: Sequence[int]) -> Polymatroid:
+    def _trusted(cls, n: int, values: Sequence[int]) -> Polymatroid:
+        """Skip the axiom checks: only for derived tables and frontend rank functions."""
         P = cls.__new__(cls)
         P._set_table(RankTable(n, values, max_n=n))
         return P
@@ -248,30 +250,27 @@ class Polymatroid:
     def _enumerate(self):
         n = self.n
         values = self.table.values
-        prefix = [values[(1 << t) - 1] for t in range(n + 1)]
-        suffix_max = [0] * (n + 1)
-        for t in range(n - 1, -1, -1):
-            suffix_max[t] = suffix_max[t + 1] + self.coord_max[t]
+        sums = [0] * (1 << n)  # x(m) for every subset m of the fixed prefix
         out: list[tuple[int, ...]] = []
         vec = [0] * n
 
-        # Depth-first over coordinates.  Prefix sums are bounded by the
-        # rank of {1..t}; the remaining total must stay reachable under
-        # the per-coordinate caps.  Leaves get the full membership test.
-        def extend(t: int, total: int) -> None:
-            if t == n:
-                if self.is_member(vec):
-                    out.append(tuple(vec))
-                return
-            need = self.full_rank - total
-            lo = max(self.coord_min[t], need - suffix_max[t + 1], 0)
-            hi = min(self.coord_max[t], prefix[t + 1] - total, need)
+        # Depth-first over coordinates; bit b is element t + 1.  Fixing it tests
+        # x(I) <= f(I) for each I whose largest element it is, so every inequality
+        # is tested once, and x({1..t+1}) >= f(E) - f(E - {1..t+1}) (values[-2b])
+        # forces x(E) = f(E) at the last coordinate: every leaf is a basis.
+        def extend(t: int) -> None:
+            b = 1 << t
+            hi = min(map(sub, values[b : 2 * b], sums[:b]))
+            lo = max(self.coord_min[t], self.full_rank - values[-2 * b] - sums[b - 1])
             for v in range(lo, hi + 1):
                 vec[t] = v
-                extend(t + 1, total + v)
-            vec[t] = 0
+                if t + 1 == n:
+                    out.append(tuple(vec))
+                else:
+                    sums[b : 2 * b] = [s + v for s in sums[:b]]
+                    extend(t + 1)
 
-        extend(0, 0)
+        extend(0)
         return out
 
     def basis_count(self) -> int:
@@ -294,7 +293,7 @@ class Polymatroid:
         dual_values = [
             values[complement(m, n)] - self.full_rank + singles[m] for m in iter_masks(n)
         ]
-        return Polymatroid._derived(n, dual_values)
+        return Polymatroid._trusted(n, dual_values)
 
     def grounded(self) -> Polymatroid:
         """The translate of this polymatroid whose coordinate minima are zero.
@@ -307,7 +306,7 @@ class Polymatroid:
             return self
         shifts = subset_sums(self.coord_min)
         values = [v - shift for v, shift in zip(self.table.values, shifts)]
-        return Polymatroid._derived(self.n, values)
+        return Polymatroid._trusted(self.n, values)
 
     def delete(self, t: int) -> Polymatroid:
         """Drop element t; remaining elements are renumbered downward."""
@@ -316,7 +315,7 @@ class Polymatroid:
             raise ValueError("cannot delete from a one-element ground set")
         values = self.table.values
         vals = [values[_inject(m, t)] for m in iter_masks(self.n - 1)]
-        return Polymatroid._derived(self.n - 1, vals)
+        return Polymatroid._trusted(self.n - 1, vals)
 
     def contract(self, t: int) -> Polymatroid:
         """Contract element t: f(I + t) - f({t}) on the remaining elements."""
@@ -327,7 +326,7 @@ class Polymatroid:
         bt = bit(t)
         ft = values[bt]
         vals = [values[_inject(m, t) | bt] - ft for m in iter_masks(self.n - 1)]
-        return Polymatroid._derived(self.n - 1, vals)
+        return Polymatroid._trusted(self.n - 1, vals)
 
     def slice_at(self, t: int, j: int) -> Polymatroid:
         """Polymatroid of bases with coordinate t pinned to j, t projected out.
@@ -349,7 +348,7 @@ class Polymatroid:
         for m in iter_masks(self.n - 1):
             im = _inject(m, t)
             vals.append(min(values[im], values[im | bt] - j))
-        return Polymatroid._derived(self.n - 1, vals)
+        return Polymatroid._trusted(self.n - 1, vals)
 
     def relabel(self, sigma: Sequence[int]) -> Polymatroid:
         """Apply a permutation: element i is renamed sigma[i-1]."""
@@ -364,7 +363,7 @@ class Polymatroid:
                 if m >> t & 1:
                     nm |= bit(sigma[t])
             new_values[nm] = values[m]
-        return Polymatroid._derived(n, new_values)
+        return Polymatroid._trusted(n, new_values)
 
     # -- misc ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from .matroids import Matroid, tutte_polynomial
 from .polynomials import Polynomial
 from .structure import binom, rank_drop_thresholds
-from .subsets import elements_of
 
 
 class _UnionFind:
@@ -102,17 +101,17 @@ class Graph:
         return tuple(sorted(out))
 
     def cycle_matroid(self) -> Matroid:
-        """Matroid of spanning trees on the edge index set; needs connectivity."""
+        """Matroid of spanning trees from ``subset_rank``, valid by theorem; needs connectivity."""
         if not self.is_connected():
             raise ValueError("cycle matroid requires a connected graph")
         if self.vertex_count == 1:
             raise ValueError("cycle matroid needs at least one edge in its bases")
         if self._cycle_matroid is None:
-            trees = [elements_of(m) for m in self.spanning_tree_masks()]
-            self._cycle_matroid = Matroid(self.edge_count, trees)
+            ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
+            self._cycle_matroid = Matroid._trusted(self.edge_count, ranks)
         return self._cycle_matroid
 
-    def bonds(self, *, max_vertices: int = 12) -> tuple[int, ...]:
+    def bonds(self) -> tuple[int, ...]:
         """Minimal edge cuts as edge masks, sorted by (size, mask).
 
         Scans vertex bipartitions whose two sides both induce connected
@@ -120,8 +119,6 @@ class Graph:
         """
         if not self.is_connected():
             raise ValueError("bonds are defined here for connected graphs only")
-        if self.vertex_count > max_vertices:
-            raise ValueError(f"bond scan capped at {max_vertices} vertices")
         nv = self.vertex_count
         out = []
         for half in range(1 << (nv - 1)):

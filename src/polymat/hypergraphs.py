@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Polymatroid, RankTable
+from .core import Polymatroid
 from .graphs import Graph, _UnionFind
 from .structure import (
     binom,
@@ -104,13 +104,12 @@ class Hypergraph:
         return self.restricted_components(full_mask(self.edge_count)) == 1
 
     def to_polymatroid(self) -> Polymatroid:
-        """Polymatroid of the subset rank; requires a connected hypergraph."""
+        """Polymatroid of the subset rank, valid by theorem; requires a connected hypergraph."""
         if self._polymatroid is None:
             if not self.is_connected():
                 raise ValueError("hypergraph must be connected")
             values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
-            table = RankTable(self.edge_count, values, max_n=self.edge_count)
-            self._polymatroid = Polymatroid(table)
+            self._polymatroid = Polymatroid._trusted(self.edge_count, values)
         return self._polymatroid
 
     def cyclomatic_number(self, edge_subset_mask: int) -> int:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .activity import polynomial_pair
-from .core import Polymatroid, RankTable, SizeLimitError
+from .core import Polymatroid, SizeLimitError
 from .polynomials import Polynomial
 from .structure import (
     circuit_sets,
@@ -50,37 +50,30 @@ class Matroid:
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
         if n < 1:
             raise ValueError("ground-set size must be a positive integer")
-        self.n = n
         masks = sorted({mask_of(b, n) for b in bases})
         if not masks:
             raise ValueError("a matroid needs at least one base")
         sizes = {m.bit_count() for m in masks}
         if len(sizes) > 1:
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
-        self.rank = sizes.pop()
-        self.base_masks = tuple(masks)
-        self._check_exchange()
-        self._ranks = tuple(
-            max((m & b).bit_count() for b in masks) for m in iter_masks(n)
+        _check_exchange(masks)
+        self._set_ranks(n, [max((m & b).bit_count() for b in masks) for m in iter_masks(n)])
+
+    @classmethod
+    def _trusted(cls, n: int, ranks: Sequence[int]) -> Matroid:
+        """Build unchecked from a table that is a matroid rank function by theorem."""
+        M = cls.__new__(cls)
+        M._set_ranks(n, ranks)
+        return M
+
+    def _set_ranks(self, n: int, ranks: Sequence[int]) -> None:
+        self.n = n
+        self._ranks = tuple(ranks)
+        self.rank = self._ranks[-1]
+        self.base_masks = tuple(
+            m for m, r in enumerate(self._ranks) if r == self.rank == m.bit_count()
         )
         self._polymatroid: Polymatroid | None = None
-
-    def _check_exchange(self):
-        base_set = set(self.base_masks)
-        for a in self.base_masks:
-            for b in self.base_masks:
-                if a == b:
-                    continue
-                only_a = a & ~b
-                only_b = b & ~a
-                while only_a:
-                    low = only_a & -only_a
-                    stripped = a ^ low
-                    if not any(stripped | y in base_set for y in _bits(only_b)):
-                        raise BaseExchangeError(
-                            elements_of(a), elements_of(b), low.bit_length()
-                        )
-                    only_a ^= low
 
     def subset_rank(self, mask: int) -> int:
         """Largest intersection of the subset with a base."""
@@ -89,7 +82,7 @@ class Matroid:
     def to_polymatroid(self) -> Polymatroid:
         """Rank table of the matroid rank function; its bases are the 0/1 indicators."""
         if self._polymatroid is None:
-            self._polymatroid = Polymatroid(RankTable(self.n, self._ranks, max_n=self.n))
+            self._polymatroid = Polymatroid._trusted(self.n, self._ranks)
         return self._polymatroid
 
     # -- matroid-native structure (kept separate from the polymatroid view
@@ -174,6 +167,22 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.base_masks)})"
+
+
+def _check_exchange(masks: Sequence[int]) -> None:
+    base_set = set(masks)
+    for a in masks:
+        for b in masks:
+            if a == b:
+                continue
+            only_a = a & ~b
+            only_b = b & ~a
+            while only_a:
+                low = only_a & -only_a
+                stripped = a ^ low
+                if not any(stripped | y in base_set for y in _bits(only_b)):
+                    raise BaseExchangeError(elements_of(a), elements_of(b), low.bit_length())
+                only_a ^= low
 
 
 def _bits(mask: int):

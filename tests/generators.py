@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from polymat import Polymatroid, RankTable
+from polymat import Graph, Polymatroid, RankTable
 
 
 def random_polymatroid(rng: random.Random, n: int | None = None) -> Polymatroid:
@@ -56,3 +56,18 @@ def wide_corpus(seed: int = 20261017) -> list[Polymatroid]:
     """Ten instances each with n = 6, 7 and 8, past the sizes ``corpus`` draws."""
     rng = random.Random(seed)
     return [random_polymatroid(rng, n) for n in (6, 7, 8) for _ in range(10)]
+
+
+def coverage_table(n: int, universe: int, k: int, seed: int) -> RankTable:
+    """Size of the union of n random k-subsets of range(universe), per subset."""
+    rng = random.Random(seed)
+    covers = [frozenset(rng.sample(range(universe), k)) for _ in range(n)]
+    return RankTable.from_function(
+        n, lambda subset: len(frozenset().union(*(covers[e - 1] for e in subset)))
+    )
+
+
+def doubled_k5_table() -> RankTable:
+    """Twice the cycle-matroid rank of K5: n = 10 and 3,425 bases."""
+    K5 = Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+    return RankTable(10, [2 * K5.subset_rank(m) for m in range(1 << 10)])

@@ -34,6 +34,47 @@ def brute_bases(table) -> set[tuple[int, ...]]:
     return out
 
 
+def leaf_checked_bases(table) -> list[tuple[int, ...]]:
+    """All bases in lexicographic order, by a depth-first search.
+
+    Each coordinate is bounded by its singleton rank and by the rank of
+    the prefix, and the remaining total must stay reachable; every leaf
+    then gets a full scan of the subset inequalities.
+    """
+    n = table.n
+    ranks = [table.rank(m) for m in range(1 << n)]
+    full = ranks[-1]
+    low = [full - ranks[((1 << n) - 1) ^ (1 << t)] for t in range(n)]
+    high = [ranks[1 << t] for t in range(n)]
+    room = [sum(high[t:]) for t in range(n + 1)]
+    vec = [0] * n
+    out = []
+
+    def is_basis() -> bool:
+        sums = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            lowest = m & -m
+            sums[m] = sums[m ^ lowest] + vec[lowest.bit_length() - 1]
+            if sums[m] > ranks[m]:
+                return False
+        return sums[-1] == full
+
+    def extend(t: int, total: int) -> None:
+        if t == n:
+            if is_basis():
+                out.append(tuple(vec))
+            return
+        need = full - total
+        start = max(low[t], need - room[t + 1], 0)
+        stop = min(high[t], ranks[(1 << (t + 1)) - 1] - total, need)
+        for v in range(start, stop + 1):
+            vec[t] = v
+            extend(t + 1, total + v)
+
+    extend(0, 0)
+    return out
+
+
 def brute_polynomial_counts(points, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(interior, exterior) coefficient counts of an explicit point set.
 

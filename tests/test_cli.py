@@ -248,6 +248,15 @@ def test_verify_two_vertex_graph_exits_0(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_graph_past_twelve_vertices_exits_0(capsys, tmp_path):
+    path = tmp_path / "c14.graph"
+    edges = "".join(f"edge {i} {i % 14 + 1}\n" for i in range(1, 15))
+    path.write_text("kind graph\nvertices 14\n" + edges)
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_verify_failure_exits_1(capsys, table_file, monkeypatch):
     def failing(P):
         return (CheckResult("demo-check", False, "forced failure"),)
@@ -343,3 +352,26 @@ def test_output_is_deterministic(capsys, table_file):
     _, first, _ = run(capsys, ["structure", "--machine", table_file])
     _, second, _ = run(capsys, ["structure", "--machine", table_file])
     assert first == second
+
+
+_ODD_DOCUMENTS = {
+    "loop.graph": "kind graph\nvertices 1\nedge 1 1\n",
+    "disconnected.graph": "kind graph\nvertices 3\nedge 1 2\n",
+    "two-vertex.graph": "kind graph\nvertices 2\nedge 1 2\n",
+    "empty-base.matroid": "kind matroid\nn 2\nbase empty\n",
+    "no-exchange.matroid": "kind matroid\nn 4\nbase 1,2\nbase 3,4\n",
+    "disconnected.hypergraph": "kind hypergraph\nvertices a b c d\nhedge a b\nhedge c d\n",
+    "not-submodular.rank-table":
+        "kind rank-table\nn 2\nrank empty 0\nrank 1 1\nrank 2 1\nrank 1,2 3\n",
+}
+_ODD_DOCUMENTS.update({p.name: p.read_text() for p in sorted(SAMPLES.iterdir())})
+
+
+@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
+@pytest.mark.parametrize("name", tuple(_ODD_DOCUMENTS))
+def test_every_command_ends_without_traceback(capsys, tmp_path, name, command):
+    path = tmp_path / name
+    path.write_text(_ODD_DOCUMENTS[name])
+    code, _, err = run(capsys, [command, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -11,7 +11,8 @@ from polymat import (
     translate,
 )
 
-from oracles import brute_bases
+from generators import coverage_table, doubled_k5_table
+from oracles import brute_bases, leaf_checked_bases
 
 
 def test_rank_table_needs_full_coverage():
@@ -72,9 +73,21 @@ def test_membership_rejects_negative_and_wrong_total(example5):
     assert example5.is_member((1, 1, 0, 1, 0))
 
 
-def test_bases_match_brute_force(full_corpus):
-    for P in full_corpus:
+def test_bases_match_brute_force(full_corpus, wide_instances):
+    for P in full_corpus + wide_instances:
         assert set(P.bases()) == brute_bases(P.table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [coverage_table(*params) for params in ((8, 8, 3, 1), (9, 8, 3, 3), (8, 8, 3, 5), (9, 8, 3, 4))]
+    + [doubled_k5_table()],
+    ids=["coverage-8a", "coverage-9a", "coverage-8b", "coverage-9b", "doubled-k5"],
+)
+def test_bases_match_leaf_checked_search(table):
+    bases = Polymatroid(table).bases()
+    assert list(bases) == leaf_checked_bases(table)
+    assert all(a < b for a, b in zip(bases, bases[1:]))
 
 
 def test_bases_are_lexicographically_sorted(example5):
