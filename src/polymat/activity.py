@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Polymatroid
+from .core import Polymatroid, _once
 from .polynomials import Polynomial
 
 
@@ -58,8 +58,9 @@ def activity(P: Polymatroid, basis: Sequence[int]) -> ActivityReport:
     return ActivityReport(vec, internal, external)
 
 
+@_once
 def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) in one sweep over the bases, probing by set lookup."""
+    """(interior, exterior) in one sweep over the bases, probing by set lookup; once per object."""
     return point_set_polynomials(P.bases(), P.n)
 
 
@@ -77,18 +78,26 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     X(P) = X(P contract t) + y * sum of X over the remaining slices of
     coordinate t.  A second route to the same polynomial as
     ``exterior_polynomial``; the recursion bottoms out at one element,
-    where the polynomial is 1.
+    where the polynomial is 1.  Slices often share a rank table, so each
+    (table, pivot) is expanded once per call; nothing is kept between calls.
     """
     if element is None:
         element = P.n
     P._check_element(element)
-    if P.n == 1:
-        return Polynomial((1,), "y")
-    t = element
-    total = exterior_by_slices(P.contract(t))
-    for j in range(P.coord_min[t - 1], P.coord_max[t - 1]):
-        total = total + exterior_by_slices(P.slice_at(t, j)).shifted(1)
-    return Polynomial(total.coeffs, "y")
+    expanded: dict[tuple[tuple[int, ...], int], Polynomial] = {}
+
+    def expand(Q: Polymatroid, t: int) -> Polynomial:
+        key = (Q.table.values, t)
+        if key not in expanded:
+            total = Polynomial((1,), "y")
+            if Q.n > 1:
+                total = expand(Q.contract(t), Q.n - 1)
+                for j in range(Q.coord_min[t - 1], Q.coord_max[t - 1]):
+                    total = total + expand(Q.slice_at(t, j), Q.n - 1).shifted(1)
+            expanded[key] = total
+        return expanded[key]
+
+    return Polynomial(expand(P, element).coeffs, "y")
 
 
 def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:

@@ -13,6 +13,7 @@ and the frontends' rank functions are valid by theorem and skip the check.
 
 from __future__ import annotations
 
+from functools import wraps
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
@@ -165,6 +166,23 @@ def _check_axioms(table: RankTable) -> None:
                     raise SubmodularityError(elements_of(m), i + 1, j + 1, lhs, rhs)
 
 
+def _once(compute):
+    """Keep ``compute(obj)`` in ``obj.__dict__``: immutable objects and results only.
+
+    A raised exception is not kept, so a failed call fails again.
+    """
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def cached(obj):
+        memo = obj.__dict__
+        if key not in memo:
+            memo[key] = compute(obj)
+        return memo[key]
+
+    return cached
+
+
 def _inject(mask: int, t: int) -> int:
     # Reinsert a zero bit at position t-1, mapping masks over a ground
     # set with element t removed back into the original indexing.
@@ -180,6 +198,8 @@ class Polymatroid:
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
     Tables valid by theorem come in through ``_trusted`` and skip them.
+    A polymatroid is immutable: its bases and its polynomial pair are
+    computed once (``_once``) and shared by every later caller.
     """
 
     def __init__(self, table: RankTable):
@@ -202,7 +222,6 @@ class Polymatroid:
             self.full_rank - table.values[complement(bit(t), self.n)] for t in range(1, self.n + 1)
         )
         self.coord_max = tuple(table.values[bit(t)] for t in range(1, self.n + 1))
-        self._bases: tuple[tuple[int, ...], ...] | None = None
 
     # -- rank access ---------------------------------------------------
 
@@ -241,13 +260,9 @@ class Polymatroid:
             sums[m] = s
         return True
 
+    @_once
     def bases(self) -> tuple[tuple[int, ...], ...]:
         """Every basis, in lexicographic vector order."""
-        if self._bases is None:
-            self._bases = tuple(self._enumerate())
-        return self._bases
-
-    def _enumerate(self):
         n = self.n
         values = self.table.values
         sums = [0] * (1 << n)  # x(m) for every subset m of the fixed prefix
@@ -271,7 +286,7 @@ class Polymatroid:
                     extend(t + 1)
 
         extend(0)
-        return out
+        return tuple(out)
 
     def basis_count(self) -> int:
         return len(self.bases())

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
+from .subsets import elements_of, iter_masks, mask_of
+
 
 class ParseError(ValueError):
     def __init__(self, line: int, column: int, message: str):
@@ -150,27 +152,12 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
             raise ParseError(lineno, columns[1], f"duplicate rank entry for {tokens[1]!r}")
         seen[subset] = _parse_int(tokens[2], lineno, columns[2], "rank value")
     if len(seen) != 1 << n:
-        missing = _first_missing_subset(seen, n)
+        missing = next(s for s in map(elements_of, iter_masks(n)) if s not in seen)
         raise ParseError(
-            last_line, 1, f"rank table is not total: missing subset {missing or 'empty'}"
+            last_line, 1, f"rank table is not total: missing subset {_subset_text(missing)}"
         )
-    entries = sorted(seen.items(), key=lambda kv: _subset_mask(kv[0]))
+    entries = sorted(seen.items(), key=lambda kv: mask_of(kv[0], n))
     return RankTableDocument(n, tuple(entries))
-
-
-def _subset_mask(subset: tuple[int, ...]) -> int:
-    mask = 0
-    for e in subset:
-        mask |= 1 << (e - 1)
-    return mask
-
-
-def _first_missing_subset(seen, n: int) -> str:
-    for mask in range(1 << n):
-        subset = tuple(e + 1 for e in range(n) if mask >> e & 1)
-        if subset not in seen:
-            return ",".join(map(str, subset))
-    return ""
 
 
 def _parse_graph(body, kind_line: int) -> GraphDocument:

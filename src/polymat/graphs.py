@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .core import _once
 from .matroids import Matroid, tutte_polynomial
 from .polynomials import Polynomial
 from .structure import binom, rank_drop_thresholds
@@ -54,7 +55,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{vertex_count}")
             edge_list.append((u, v))
         self.edges = tuple(edge_list)
-        self._cycle_matroid: Matroid | None = None
 
     @property
     def edge_count(self) -> int:
@@ -100,16 +100,15 @@ class Graph:
         extend(0, 0, 0, _UnionFind(self.vertex_count + 1))
         return tuple(sorted(out))
 
+    @_once
     def cycle_matroid(self) -> Matroid:
         """Matroid of spanning trees from ``subset_rank``, valid by theorem; needs connectivity."""
         if not self.is_connected():
             raise ValueError("cycle matroid requires a connected graph")
         if self.vertex_count == 1:
             raise ValueError("cycle matroid needs at least one edge in its bases")
-        if self._cycle_matroid is None:
-            ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
-            self._cycle_matroid = Matroid._trusted(self.edge_count, ranks)
-        return self._cycle_matroid
+        ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
+        return Matroid._trusted(self.edge_count, ranks)
 
     def bonds(self) -> tuple[int, ...]:
         """Minimal edge cuts as edge masks, sorted by (size, mask).

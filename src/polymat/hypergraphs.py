@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Polymatroid
+from .core import Polymatroid, _once
 from .graphs import Graph, _UnionFind
 from .structure import (
     binom,
@@ -54,7 +54,6 @@ class Hypergraph:
         if not masks:
             raise ValueError("a hypergraph needs at least one hyperedge")
         self.edge_masks = tuple(masks)
-        self._polymatroid: Polymatroid | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -103,14 +102,13 @@ class Hypergraph:
     def is_connected(self) -> bool:
         return self.restricted_components(full_mask(self.edge_count)) == 1
 
+    @_once
     def to_polymatroid(self) -> Polymatroid:
         """Polymatroid of the subset rank, valid by theorem; requires a connected hypergraph."""
-        if self._polymatroid is None:
-            if not self.is_connected():
-                raise ValueError("hypergraph must be connected")
-            values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
-            self._polymatroid = Polymatroid._trusted(self.edge_count, values)
-        return self._polymatroid
+        if not self.is_connected():
+            raise ValueError("hypergraph must be connected")
+        values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
+        return Polymatroid._trusted(self.edge_count, values)
 
     def cyclomatic_number(self, edge_subset_mask: int) -> int:
         """Independent cycles of the incidence graph restricted to the subset."""

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .activity import polynomial_pair
-from .core import Polymatroid, SizeLimitError
+from .core import Polymatroid, SizeLimitError, _once
 from .polynomials import Polynomial
 from .structure import (
     circuit_sets,
@@ -73,17 +73,15 @@ class Matroid:
         self.base_masks = tuple(
             m for m, r in enumerate(self._ranks) if r == self.rank == m.bit_count()
         )
-        self._polymatroid: Polymatroid | None = None
 
     def subset_rank(self, mask: int) -> int:
         """Largest intersection of the subset with a base."""
         return self._ranks[mask]
 
+    @_once
     def to_polymatroid(self) -> Polymatroid:
         """Rank table of the matroid rank function; its bases are the 0/1 indicators."""
-        if self._polymatroid is None:
-            self._polymatroid = Polymatroid._trusted(self.n, self._ranks)
-        return self._polymatroid
+        return Polymatroid._trusted(self.n, self._ranks)
 
     # -- matroid-native structure (kept separate from the polymatroid view
     #    so the two can be compared as independent routes) ----------------

@@ -126,35 +126,29 @@ def rank_drop_thresholds(P: Polymatroid) -> dict[int, int]:
 
     Missing drops are genuinely absent: the map simply has no such key.
     """
-    best = [P.n + 1] * (P.full_rank + 1)
-    for m in iter_masks(P.n):
-        drop = P.full_rank - P.rank(m)
-        size = P.n - m.bit_count()
-        if drop >= 0 and size < best[drop]:
-            best[drop] = size
-    out: dict[int, int] = {}
-    running = P.n + 1
-    for k in range(P.full_rank, -1, -1):
-        running = min(running, best[k])
-        out[k] = running
-    return dict(sorted(out.items()))
+    levels = ((P.full_rank - v, P.n - m.bit_count()) for m, v in enumerate(P.table.values))
+    return _threshold_scan(levels, P.full_rank, P.n)
 
 
 def deficiency_thresholds(P: Polymatroid) -> dict[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency)."""
-    g = full_deficiency(P)
     sums = subset_sums(P.coord_max)
-    best = [P.n + 1] * (g + 1)
-    for m in iter_masks(P.n):
-        d = sums[m] - P.rank(m)
-        if 0 <= d <= g and m.bit_count() < best[d]:
-            best[d] = m.bit_count()
-    out: dict[int, int] = {}
-    running = P.n + 1
-    for k in range(g, -1, -1):
-        running = min(running, best[k])
-        out[k] = running
-    return dict(sorted(out.items()))
+    levels = ((s - v, m.bit_count()) for m, (s, v) in enumerate(zip(sums, P.table.values)))
+    return _threshold_scan(levels, full_deficiency(P), P.n)
+
+
+def _threshold_scan(levels, top: int, n: int) -> dict[int, int]:
+    """For k = 0..top, the least size among the (level, size) pairs whose level reaches k.
+
+    Takes the least size at each level, then a suffix minimum.
+    """
+    best = [n + 1] * (top + 1)
+    for level, size in levels:
+        if 0 <= level <= top and size < best[level]:
+            best[level] = size
+    for k in range(top - 1, -1, -1):
+        best[k] = min(best[k], best[k + 1])
+    return dict(enumerate(best))
 
 
 # -- coefficient formulas -----------------------------------------------
@@ -185,19 +179,8 @@ def exterior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = Fa
     value is only an upper-bound-style estimate and must be requested
     with ``unchecked=True``.
     """
-    if i < 0:
-        raise FormulaRangeError("coefficient index must be nonnegative")
-    if not unchecked and i >= exterior_formula_range(P):
-        raise FormulaRangeError(
-            f"coefficient {i} is outside the guaranteed range "
-            f"0..{exterior_formula_range(P) - 1}; pass unchecked=True to evaluate anyway"
-        )
-    H = hyperplane_sets(P)
-    fr = P.full_rank
-    total = binom(fr + i - 1, i)
-    for j in range(i + 1):
-        total -= binom(fr + i - 1 - j, i - j) * len(H.get(j, ()))
-    return total
+    _check_index(P, i, unchecked, exterior_formula_range)
+    return _binomial_formula(P.full_rank, hyperplane_sets(P), i)
 
 
 def interior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = False) -> int:
@@ -205,18 +188,26 @@ def interior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = Fa
 
     Exact for 0 <= i < the second deficiency threshold.
     """
+    _check_index(P, i, unchecked, interior_formula_range)
+    return _binomial_formula(full_deficiency(P), circuit_sets(P), i)
+
+
+def _check_index(P: Polymatroid, i: int, unchecked: bool, formula_range) -> None:
+    """Reject a negative index, and one past ``formula_range(P)`` unless ``unchecked``."""
     if i < 0:
         raise FormulaRangeError("coefficient index must be nonnegative")
-    if not unchecked and i >= interior_formula_range(P):
+    if not unchecked and i >= (limit := formula_range(P)):
         raise FormulaRangeError(
             f"coefficient {i} is outside the guaranteed range "
-            f"0..{interior_formula_range(P) - 1}; pass unchecked=True to evaluate anyway"
+            f"0..{limit - 1}; pass unchecked=True to evaluate anyway"
         )
-    C = circuit_sets(P)
-    g = full_deficiency(P)
-    total = binom(g + i - 1, i)
+
+
+def _binomial_formula(top: int, families: dict[int, frozenset[int]], i: int) -> int:
+    """binom(top + i - 1, i) - sum over j <= i of binom(top + i - 1 - j, i - j) * |families[j]|."""
+    total = binom(top + i - 1, i)
     for j in range(i + 1):
-        total -= binom(g + i - 1 - j, i - j) * len(C.get(j, ()))
+        total -= binom(top + i - 1 - j, i - j) * len(families.get(j, ()))
     return total
 
 

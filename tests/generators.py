@@ -67,6 +67,14 @@ def coverage_table(n: int, universe: int, k: int, seed: int) -> RankTable:
     )
 
 
+def ladder_tables() -> dict[str, RankTable]:
+    """The four benchmark coverage tables (n = 8-9) and 2xK5 (n = 10), by test id."""
+    params = {"coverage-8a": (8, 8, 3, 1), "coverage-9a": (9, 8, 3, 3),
+              "coverage-8b": (8, 8, 3, 5), "coverage-9b": (9, 8, 3, 4)}
+    tables = {name: coverage_table(*p) for name, p in params.items()}
+    return {**tables, "doubled-k5": doubled_k5_table()}
+
+
 def doubled_k5_table() -> RankTable:
     """Twice the cycle-matroid rank of K5: n = 10 and 3,425 bases."""
     K5 = Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])

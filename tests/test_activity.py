@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polymat import (
+    Polymatroid,
     Polynomial,
     activity,
     check_duality,
@@ -17,7 +18,10 @@ from polymat import (
     translate,
 )
 
+from generators import ladder_tables
 from oracles import brute_bases, brute_polynomial_counts
+
+LADDER = ladder_tables()
 
 
 def test_activity_requires_a_basis(example5):
@@ -76,8 +80,30 @@ def test_slice_recursion_every_element(full_corpus, wide_instances):
             assert interior_by_slices(P, t) == interior
 
 
+@pytest.mark.parametrize("table", LADDER.values(), ids=LADDER.keys())
+def test_memoized_slice_recursion_matches_direct_route(table):
+    # Slices of these tables repeat many rank tables, so the per-call memo
+    # of the recursion is hit at every depth.
+    P = Polymatroid(table)
+    interior, exterior = polynomial_pair(P)
+    for t in range(1, P.n + 1):
+        assert exterior_by_slices(P, t) == exterior
+        assert interior_by_slices(P, t) == interior
+
+
+def test_polynomial_pair_is_computed_once(example5):
+    pair = polynomial_pair(example5)
+    assert polynomial_pair(example5) is pair
+    # Duals and relabelings are new objects: their pairs are computed
+    # afresh, so the duality and relabeling checks compare two sweeps.
+    dual_pair = polynomial_pair(example5.dual())
+    relabeled_pair = polynomial_pair(example5.relabel((5, 4, 3, 2, 1)))
+    assert dual_pair is not pair and relabeled_pair is not pair
+    assert dual_pair == pair[::-1] and relabeled_pair == pair
+
+
 def test_slice_recursion_base_case():
-    from polymat import Polymatroid, RankTable
+    from polymat import RankTable
 
     P = Polymatroid(RankTable(1, [0, 3]))
     assert exterior_by_slices(P).coeffs == (1,)

@@ -11,8 +11,10 @@ from polymat import (
     translate,
 )
 
-from generators import coverage_table, doubled_k5_table
+from generators import coverage_table, ladder_tables
 from oracles import brute_bases, leaf_checked_bases
+
+LADDER = ladder_tables()
 
 
 def test_rank_table_needs_full_coverage():
@@ -78,16 +80,17 @@ def test_bases_match_brute_force(full_corpus, wide_instances):
         assert set(P.bases()) == brute_bases(P.table)
 
 
-@pytest.mark.parametrize(
-    "table",
-    [coverage_table(*params) for params in ((8, 8, 3, 1), (9, 8, 3, 3), (8, 8, 3, 5), (9, 8, 3, 4))]
-    + [doubled_k5_table()],
-    ids=["coverage-8a", "coverage-9a", "coverage-8b", "coverage-9b", "doubled-k5"],
-)
+@pytest.mark.parametrize("table", LADDER.values(), ids=LADDER.keys())
 def test_bases_match_leaf_checked_search(table):
     bases = Polymatroid(table).bases()
     assert list(bases) == leaf_checked_bases(table)
     assert all(a < b for a, b in zip(bases, bases[1:]))
+
+
+def test_bases_are_computed_once():
+    P = Polymatroid(coverage_table(6, 6, 2, 1))
+    assert P.bases() is P.bases()
+    assert P.dual().bases() is not P.bases()
 
 
 def test_bases_are_lexicographically_sorted(example5):

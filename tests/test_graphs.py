@@ -172,10 +172,15 @@ def test_frontend_tables_pass_the_axiom_check():
 
 
 def test_cycle_matroid_requires_connected_graph_with_edges():
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 2)]).cycle_matroid()
-    with pytest.raises(ValueError):
-        Graph(1, []).cycle_matroid()
+    for G in (Graph(3, [(1, 2)]), Graph(1, [])):
+        for _ in range(2):  # a failure is not cached: every call raises
+            with pytest.raises(ValueError):
+                G.cycle_matroid()
+
+
+def test_cycle_matroid_is_built_once():
+    G = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
+    assert G.cycle_matroid() is G.cycle_matroid()
 
 
 # -- bonds and edge connectivity --------------------------------------------

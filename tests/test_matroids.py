@@ -50,6 +50,7 @@ def test_polymatroid_bases_are_indicators():
     M = u23()
     P = M.to_polymatroid()
     assert set(P.bases()) == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert M.to_polymatroid() is P
 
 
 def test_u23_polynomials():

@@ -117,10 +117,10 @@ def test_circuits_have_tight_proper_subsets(small_corpus):
                 assert deficiency(P, m & ~(1 << (t - 1))) == 0
 
 
-def test_thresholds_scan_matches_definition(small_corpus):
+def test_thresholds_scan_matches_definition(small_corpus, wide_instances):
     # r_k: smallest complement of a subset whose rank drops by at least k.
     # r'_k: smallest subset whose deficiency reaches at least k.
-    for P in small_corpus:
+    for P in small_corpus + wide_instances:
         r = rank_drop_thresholds(P)
         assert set(r) == set(range(P.full_rank + 1))
         for k, value in r.items():
