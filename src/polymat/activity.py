@@ -25,6 +25,7 @@ class ActivityReport:
 
 
 def _active_sets(n, basis, member):
+    # One basis through a membership test; sweeps use point_set_polynomials.
     internal = {1}
     external = {1}
     for i in range(2, n + 1):
@@ -60,7 +61,7 @@ def activity(P: Polymatroid, basis: Sequence[int]) -> ActivityReport:
 
 @_once
 def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) in one sweep over the bases, probing by set lookup; once per object."""
+    """(interior, exterior) in one sweep over the bases, probing integer codes; once per object."""
     return point_set_polynomials(P.bases(), P.n)
 
 
@@ -108,10 +109,11 @@ def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
 def point_set_polynomials(
     points: Iterable[Sequence[int]], n: int
 ) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) of an explicit finite basis set.
+    """(interior, exterior) of an explicit finite point set.
 
-    Membership is decided by set lookup, so translates of a polymatroid
-    basis set, including ones with negative coordinates, work directly.
+    Each point becomes one integer code, and membership is decided by set
+    lookup on the codes, so any finite set of integer vectors works,
+    including translates with negative coordinates.
     """
     pts = frozenset(tuple(p) for p in points)
     if not pts:
@@ -119,13 +121,32 @@ def point_set_polynomials(
     for p in pts:
         if len(p) != n:
             raise ValueError(f"vector length {len(p)} != ground-set size {n}")
-    member = lambda v: tuple(v) in pts
+    # Mixed radix: coordinate t has weight w_t and a radix of its range plus
+    # one spare value, so the probe a -/+ e_i +/- e_j has code c +/- (w_j - w_i).
+    # A +-1 step out of the range carries or borrows into the spare value,
+    # which no point has; without the spare, probes would hit other points.
+    weights = []
+    w = 1
+    for column in zip(*pts):
+        weights.append(w)
+        w *= max(column) - min(column) + 2
+    codes = {sum(map(int.__mul__, p, weights)) for p in pts}
+    steps = [[w_j - w_i for w_j in weights[:i]] for i, w_i in enumerate(weights)]
     interior = [0] * (n + 1)
     exterior = [0] * (n + 1)
-    for p in pts:
-        internal, external = _active_sets(n, p, member)
-        interior[n - len(internal)] += 1
-        exterior[n - len(external)] += 1
+    for c in codes:
+        internally_inactive = externally_inactive = 0
+        for diffs in steps:
+            for d in diffs:
+                if c + d in codes:
+                    internally_inactive += 1
+                    break
+            for d in diffs:
+                if c - d in codes:
+                    externally_inactive += 1
+                    break
+        interior[internally_inactive] += 1
+        exterior[externally_inactive] += 1
     return Polynomial(tuple(interior), "x"), Polynomial(tuple(exterior), "y")
 
 

@@ -14,7 +14,6 @@ and the frontends' rank functions are valid by theorem and skip the check.
 from __future__ import annotations
 
 from functools import wraps
-from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -208,9 +207,12 @@ class Polymatroid:
 
     @classmethod
     def _trusted(cls, n: int, values: Sequence[int]) -> Polymatroid:
-        """Skip the axiom checks: only for derived tables and frontend rank functions."""
+        """Skip the axiom and input checks: only for derived tables and frontend rank functions."""
+        table = RankTable.__new__(RankTable)
+        table.n = n
+        table.values = tuple(values)
         P = cls.__new__(cls)
-        P._set_table(RankTable(n, values, max_n=n))
+        P._set_table(table)
         return P
 
     def _set_table(self, table: RankTable) -> None:
@@ -262,30 +264,24 @@ class Polymatroid:
 
     @_once
     def bases(self) -> tuple[tuple[int, ...], ...]:
-        """Every basis, in lexicographic vector order."""
-        n = self.n
-        values = self.table.values
-        sums = [0] * (1 << n)  # x(m) for every subset m of the fixed prefix
+        """Every basis, in lexicographic vector order.
+
+        Pins the lowest element to each j from f(E) - f(E - 1) to f({1}) and
+        recurses on that slice, whose table min(f(I), f(I + 1) - j) over the
+        other elements (the theorem behind ``slice_at``) is half the size.
+        Every slice in range is nonempty, so every leaf is a basis.
+        """
         out: list[tuple[int, ...]] = []
-        vec = [0] * n
 
-        # Depth-first over coordinates; bit b is element t + 1.  Fixing it tests
-        # x(I) <= f(I) for each I whose largest element it is, so every inequality
-        # is tested once, and x({1..t+1}) >= f(E) - f(E - {1..t+1}) (values[-2b])
-        # forces x(E) = f(E) at the last coordinate: every leaf is a basis.
-        def extend(t: int) -> None:
-            b = 1 << t
-            hi = min(map(sub, values[b : 2 * b], sums[:b]))
-            lo = max(self.coord_min[t], self.full_rank - values[-2 * b] - sums[b - 1])
-            for v in range(lo, hi + 1):
-                vec[t] = v
-                if t + 1 == n:
-                    out.append(tuple(vec))
-                else:
-                    sums[b : 2 * b] = [s + v for s in sums[:b]]
-                    extend(t + 1)
+        def extend(prefix: tuple[int, ...], vals: Sequence[int]) -> None:
+            if len(vals) == 1:
+                out.append(prefix)
+                return
+            low, high = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
+            for j in range(vals[-1] - vals[-2], vals[1] + 1):
+                extend(prefix + (j,), list(map(min, low, [v - j for v in high])))
 
-        extend(0)
+        extend((), self.table.values)
         return tuple(out)
 
     def basis_count(self) -> int:

@@ -157,6 +157,26 @@ def test_point_set_negation_swaps_roles(small_corpus):
         assert ne == interior
 
 
+def test_point_set_route_matches_brute_force_off_basis_sets():
+    # Random sets with gaps and negative coordinates, and every other basis
+    # of the n = 8-9 ladder tables: probes step out of the points' range in
+    # every coordinate, which the integer codes must not mistake for points.
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        size = rng.randint(1, 40)
+        cases.append(({tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(size)}, n))
+    for name, table in LADDER.items():
+        if name.startswith("coverage"):
+            cases.append((Polymatroid(table).bases()[::2], table.n))
+    for points, n in cases:
+        interior, exterior = point_set_polynomials(points, n)
+        brute_interior, brute_exterior = brute_polynomial_counts(points, n)
+        assert interior == Polynomial(brute_interior, "x")
+        assert exterior == Polynomial(brute_exterior, "y")
+
+
 def test_point_set_rejects_bad_input():
     with pytest.raises(ValueError):
         point_set_polynomials([], 2)

@@ -7,7 +7,10 @@ from polymat import (
     RankTable,
     SizeLimitError,
     SubmodularityError,
+    exterior_by_slices,
+    interior_by_slices,
     negate,
+    polynomial_pair,
     translate,
 )
 
@@ -85,6 +88,16 @@ def test_bases_match_leaf_checked_search(table):
     bases = Polymatroid(table).bases()
     assert list(bases) == leaf_checked_bases(table)
     assert all(a < b for a, b in zip(bases, bases[1:]))
+
+
+def test_bases_at_n12_match_slice_recursion():
+    # Past the oracles' reach: the count is frozen, and the slice recursion,
+    # which never calls bases(), gives the same polynomials.
+    P = Polymatroid(coverage_table(12, 10, 3, 1))
+    bases = P.bases()
+    assert len(bases) == 19650
+    assert all(a < b for a, b in zip(bases, bases[1:]))
+    assert polynomial_pair(P) == (interior_by_slices(P), exterior_by_slices(P))
 
 
 def test_bases_are_computed_once():
