@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Polymatroid, _once
+from .core import Polymatroid, _once, _split
 from .polynomials import Polynomial
 
 
@@ -79,26 +79,31 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     X(P) = X(P contract t) + y * sum of X over the remaining slices of
     coordinate t.  A second route to the same polynomial as
     ``exterior_polynomial``; the recursion bottoms out at one element,
-    where the polynomial is 1.  Slices often share a rank table, so each
-    (table, pivot) is expanded once per call; nothing is kept between calls.
+    where the polynomial is 1.  The first step moves ``element`` to the top;
+    the recursion then runs on plain value tuples.  Slices often share a rank
+    table, so each table, pivoting on the top element, is expanded once per
+    call; nothing is kept between calls.
     """
     if element is None:
         element = P.n
     P._check_element(element)
-    expanded: dict[tuple[tuple[int, ...], int], Polynomial] = {}
+    expanded: dict[tuple[int, ...], Polynomial] = {}
 
-    def expand(Q: Polymatroid, t: int) -> Polynomial:
-        key = (Q.table.values, t)
-        if key not in expanded:
+    def expand(values: tuple[int, ...]) -> Polynomial:
+        if values not in expanded:
             total = Polynomial((1,), "y")
-            if Q.n > 1:
-                total = expand(Q.contract(t), Q.n - 1)
-                for j in range(Q.coord_min[t - 1], Q.coord_max[t - 1]):
-                    total = total + expand(Q.slice_at(t, j), Q.n - 1).shifted(1)
-            expanded[key] = total
-        return expanded[key]
+            half = len(values) // 2
+            if half > 1:
+                without, within = values[:half], values[half:]  # f(I), f(I + top)
+                total = expand(tuple(v - within[0] for v in within))
+                for j in range(values[-1] - without[-1], within[0]):
+                    child = tuple(map(min, without, [v - j for v in within]))
+                    total += expand(child).shifted(1)
+            expanded[values] = total
+        return expanded[values]
 
-    return Polynomial(expand(P, element).coeffs, "y")
+    without, within = _split(P.table.values, element)
+    return Polynomial(expand(tuple(without + within)).coeffs, "y")
 
 
 def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:

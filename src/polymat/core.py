@@ -182,12 +182,15 @@ def _once(compute):
     return cached
 
 
-def _inject(mask: int, t: int) -> int:
-    # Reinsert a zero bit at position t-1, mapping masks over a ground
-    # set with element t removed back into the original indexing.
-    b = 1 << (t - 1)
-    low = mask & (b - 1)
-    return low | ((mask ^ low) << 1)
+def _split(values: Sequence[int], t: int) -> tuple[list[int], list[int]]:
+    """(f(I), f(I + t)) over the subsets I of the other elements, renumbered downward.
+
+    Masks without t come in runs of 2^(t-1), alternating with runs that
+    contain t; for the top element the two lists are the table's halves.
+    """
+    run = 1 << (t - 1)
+    runs = [values[s : s + run] for s in range(0, len(values), run)]
+    return [v for r in runs[0::2] for v in r], [v for r in runs[1::2] for v in r]
 
 
 class Polymatroid:
@@ -197,8 +200,8 @@ class Polymatroid:
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
     Tables valid by theorem come in through ``_trusted`` and skip them.
-    A polymatroid is immutable: its bases and its polynomial pair are
-    computed once (``_once``) and shared by every later caller.
+    A polymatroid is immutable: its bases, polynomial pair and structure
+    maps are computed once (``_once``) and shared by every later caller.
     """
 
     def __init__(self, table: RankTable):
@@ -320,30 +323,26 @@ class Polymatroid:
         return Polymatroid._trusted(self.n, values)
 
     def delete(self, t: int) -> Polymatroid:
-        """Drop element t; remaining elements are renumbered downward."""
+        """Drop element t: f(I) on the remaining elements, renumbered downward."""
         self._check_element(t)
         if self.n == 1:
             raise ValueError("cannot delete from a one-element ground set")
-        values = self.table.values
-        vals = [values[_inject(m, t)] for m in iter_masks(self.n - 1)]
-        return Polymatroid._trusted(self.n - 1, vals)
+        return Polymatroid._trusted(self.n - 1, _split(self.table.values, t)[0])
 
     def contract(self, t: int) -> Polymatroid:
-        """Contract element t: f(I + t) - f({t}) on the remaining elements."""
+        """Contract element t: f(I + t) - f({t}) on the remaining elements, renumbered downward."""
         self._check_element(t)
         if self.n == 1:
             raise ValueError("cannot contract a one-element ground set")
-        values = self.table.values
-        bt = bit(t)
-        ft = values[bt]
-        vals = [values[_inject(m, t) | bt] - ft for m in iter_masks(self.n - 1)]
-        return Polymatroid._trusted(self.n - 1, vals)
+        ft = self.coord_max[t - 1]
+        return Polymatroid._trusted(self.n - 1, [v - ft for v in _split(self.table.values, t)[1]])
 
     def slice_at(self, t: int, j: int) -> Polymatroid:
         """Polymatroid of bases with coordinate t pinned to j, t projected out.
 
-        Its rank function is min(f(I), f(I + t) - j).  The extreme pins
-        coincide with ``delete`` (smallest j) and ``contract`` (largest j).
+        Its rank function is min(f(I), f(I + t) - j) on the remaining
+        elements, renumbered downward.  The extreme pins coincide with
+        ``delete`` (smallest j) and ``contract`` (largest j).
         """
         self._check_element(t)
         if j not in self.coordinate_range(t):
@@ -353,27 +352,19 @@ class Polymatroid:
             )
         if self.n == 1:
             raise ValueError("cannot slice a one-element ground set")
-        values = self.table.values
-        bt = bit(t)
-        vals = []
-        for m in iter_masks(self.n - 1):
-            im = _inject(m, t)
-            vals.append(min(values[im], values[im | bt] - j))
-        return Polymatroid._trusted(self.n - 1, vals)
+        without, within = _split(self.table.values, t)
+        return Polymatroid._trusted(self.n - 1, map(min, without, [v - j for v in within]))
 
     def relabel(self, sigma: Sequence[int]) -> Polymatroid:
         """Apply a permutation: element i is renamed sigma[i-1]."""
         n = self.n
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-        values = self.table.values
+        # A sum of distinct bits is their OR: the image of every mask at once.
+        targets = subset_sums([bit(s) for s in sigma])
         new_values = [0] * (1 << n)
-        for m in iter_masks(n):
-            nm = 0
-            for t in range(n):
-                if m >> t & 1:
-                    nm |= bit(sigma[t])
-            new_values[nm] = values[m]
+        for target, value in zip(targets, self.table.values):
+            new_values[target] = value
         return Polymatroid._trusted(n, new_values)
 
     # -- misc ------------------------------------------------------------

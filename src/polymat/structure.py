@@ -12,16 +12,19 @@ expressions are guaranteed:
 
 Both coefficient formulas are exact strictly below the respective
 second threshold; outside that range they may still be evaluated, but
-only with an explicit ``unchecked`` flag.
+only with an explicit ``unchecked`` flag.  The two families and the two
+threshold maps are computed once per polymatroid, as read-only mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
+from typing import Mapping
 
 from .activity import polynomial_pair
-from .core import Polymatroid
+from .core import Polymatroid, _once
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, subset_sums
 
 
@@ -66,14 +69,15 @@ def flats(P: Polymatroid) -> tuple[int, ...]:
     return tuple(m for m in iter_masks(P.n) if is_flat(P, m))
 
 
-def hyperplane_sets(P: Polymatroid) -> dict[int, frozenset[int]]:
-    """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n)."""
+@_once
+def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
+    """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object."""
     target = P.full_rank - 1
     grouped: dict[int, set[int]] = {j: set() for j in range(P.n + 1)}
     for m in iter_masks(P.n):
         if P.rank(m) == target and is_flat(P, m):
             grouped[P.n - m.bit_count()].add(m)
-    return {j: frozenset(s) for j, s in grouped.items()}
+    return MappingProxyType({j: frozenset(s) for j, s in grouped.items()})
 
 
 # -- deficiency and circuits -------------------------------------------
@@ -110,19 +114,21 @@ def circuit_family(P: Polymatroid) -> frozenset[int]:
     return frozenset(out)
 
 
-def circuit_sets(P: Polymatroid) -> dict[int, frozenset[int]]:
-    """Circuit-like subsets grouped by size (keys 0..n)."""
+@_once
+def circuit_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
+    """Circuit-like subsets grouped by size (keys 0..n); once per object."""
     grouped: dict[int, set[int]] = {j: set() for j in range(P.n + 1)}
     for m in circuit_family(P):
         grouped[m.bit_count()].add(m)
-    return {j: frozenset(s) for j, s in grouped.items()}
+    return MappingProxyType({j: frozenset(s) for j, s in grouped.items()})
 
 
 # -- thresholds ---------------------------------------------------------
 
 
-def rank_drop_thresholds(P: Polymatroid) -> dict[int, int]:
-    """r_k for every k where it exists (0 <= k <= full rank).
+@_once
+def rank_drop_thresholds(P: Polymatroid) -> Mapping[int, int]:
+    """r_k for every k where it exists (0 <= k <= full rank); once per object.
 
     Missing drops are genuinely absent: the map simply has no such key.
     """
@@ -130,14 +136,15 @@ def rank_drop_thresholds(P: Polymatroid) -> dict[int, int]:
     return _threshold_scan(levels, P.full_rank, P.n)
 
 
-def deficiency_thresholds(P: Polymatroid) -> dict[int, int]:
-    """r'_k for every k where it exists (0 <= k <= full deficiency)."""
+@_once
+def deficiency_thresholds(P: Polymatroid) -> Mapping[int, int]:
+    """r'_k for every k where it exists (0 <= k <= full deficiency); once per object."""
     sums = subset_sums(P.coord_max)
     levels = ((s - v, m.bit_count()) for m, (s, v) in enumerate(zip(sums, P.table.values)))
     return _threshold_scan(levels, full_deficiency(P), P.n)
 
 
-def _threshold_scan(levels, top: int, n: int) -> dict[int, int]:
+def _threshold_scan(levels, top: int, n: int) -> Mapping[int, int]:
     """For k = 0..top, the least size among the (level, size) pairs whose level reaches k.
 
     Takes the least size at each level, then a suffix minimum.
@@ -148,7 +155,7 @@ def _threshold_scan(levels, top: int, n: int) -> dict[int, int]:
             best[level] = size
     for k in range(top - 1, -1, -1):
         best[k] = min(best[k], best[k + 1])
-    return dict(enumerate(best))
+    return MappingProxyType(dict(enumerate(best)))
 
 
 # -- coefficient formulas -----------------------------------------------
@@ -203,7 +210,7 @@ def _check_index(P: Polymatroid, i: int, unchecked: bool, formula_range) -> None
         )
 
 
-def _binomial_formula(top: int, families: dict[int, frozenset[int]], i: int) -> int:
+def _binomial_formula(top: int, families: Mapping[int, frozenset[int]], i: int) -> int:
     """binom(top + i - 1, i) - sum over j <= i of binom(top + i - 1 - j, i - j) * |families[j]|."""
     total = binom(top + i - 1, i)
     for j in range(i + 1):
@@ -231,10 +238,10 @@ def is_unimodal(seq) -> bool:
 @dataclass(frozen=True)
 class StructureSummary:
     flats: tuple[int, ...]
-    hyperplanes: dict[int, frozenset[int]]
-    circuits: dict[int, frozenset[int]]
-    rank_drop: dict[int, int]
-    deficiency: dict[int, int]
+    hyperplanes: Mapping[int, frozenset[int]]
+    circuits: Mapping[int, frozenset[int]]
+    rank_drop: Mapping[int, int]
+    deficiency: Mapping[int, int]
     full_deficiency: int
 
 

@@ -44,10 +44,6 @@ def complement(mask: int, n: int) -> int:
     return ~mask & full_mask(n)
 
 
-def contains(mask: int, element: int) -> bool:
-    return bool(mask >> (element - 1) & 1)
-
-
 def iter_masks(n: int) -> range:
     """All subset masks of {1..n} in ascending numeric order."""
     return range(1 << n)

@@ -121,7 +121,7 @@ def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
             and all(r_def[k] <= r_def[k + 1] for k in range(full_deficiency(P)))
             and all(v <= P.n for v in r.values())
             and all(v <= P.n for v in r_def.values()),
-            f"rank-drop {r}, deficiency {r_def}",
+            f"rank-drop {dict(r)}, deficiency {dict(r_def)}",
         )
     )
     # Rank drops in the dual equal deficiencies here outright; the
@@ -144,7 +144,7 @@ def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
         _result(
             "circuits-are-dual-hyperplane-complements",
             circuits == swapped,
-            f"{circuits} vs {swapped}",
+            f"{dict(circuits)} vs {swapped}",
         )
     )
 

@@ -4,8 +4,8 @@ Everything here recomputes library quantities from first principles
 with deliberately different algorithms (plain product scans, DFS
 reachability, deletion-contraction) so tests compare two genuinely
 separate routes.  None of these functions import from the library
-beyond plain data (rank tables are consumed through their ``rank``
-method only).
+beyond plain data (rank tables are consumed through their ``rank`` and
+``rank_of`` methods only).
 """
 
 from __future__ import annotations
@@ -72,6 +72,25 @@ def leaf_checked_bases(table) -> list[tuple[int, ...]]:
             extend(t + 1, total + v)
 
     extend(0, 0)
+    return out
+
+
+def minor_ranks(table, t, j) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """Deletion, contraction and slice ranks of element t, straight from their definitions.
+
+    Maps each subset I of the other elements, renumbered downward past t
+    as the minors number them, to (f(I), f(I + t) - f({t}),
+    min(f(I), f(I + t) - j)).  Ranks are read by element tuple.
+    """
+    others = [e for e in range(1, table.n + 1) if e != t]
+    ft = table.rank_of((t,))
+    out = {}
+    for size in range(len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            without = table.rank_of(subset)
+            within = table.rank_of(subset + (t,))
+            renumbered = tuple(e - (e > t) for e in subset)
+            out[renumbered] = (without, within - ft, min(without, within - j))
     return out
 
 

@@ -257,6 +257,19 @@ def test_verify_graph_past_twelve_vertices_exits_0(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_petersen_graph_exits_0(capsys, tmp_path):
+    # A graph at the sizes the guards admit: 15 edges, 2,000 spanning trees.
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i, (i + 1) % 5 + 6) for i in range(6, 11)]
+    path = tmp_path / "petersen.graph"
+    edges = "".join(f"edge {u} {v}\n" for u, v in outer + spokes + inner)
+    path.write_text("kind graph\nvertices 10\n" + edges)
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == "verify 24/24 checks passed"
+
+
 def test_verify_failure_exits_1(capsys, table_file, monkeypatch):
     def failing(P):
         return (CheckResult("demo-check", False, "forced failure"),)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from polymat import (
@@ -15,7 +18,7 @@ from polymat import (
 )
 
 from generators import coverage_table, ladder_tables
-from oracles import brute_bases, leaf_checked_bases
+from oracles import brute_bases, leaf_checked_bases, minor_ranks
 
 LADDER = ladder_tables()
 
@@ -176,6 +179,29 @@ def test_slice_endpoints_are_delete_and_contract(small_corpus):
         for t in range(1, P.n + 1):
             assert P.slice_at(t, P.coord_min[t - 1]).table == P.delete(t).table
             assert P.slice_at(t, P.coord_max[t - 1]).table == P.contract(t).table
+
+
+def test_minors_match_their_definitions_past_n5(wide_instances):
+    # The minors split the table by runs of masks; the oracle reads every
+    # rank by element tuple, at every element t and every pin j, n = 6-10.
+    ladder = [Polymatroid(table) for table in LADDER.values()]
+    for P in wide_instances + ladder:
+        for t in range(1, P.n + 1):
+            D, C = P.delete(t), P.contract(t)
+            for j in P.coordinate_range(t):
+                S = P.slice_at(t, j)
+                for subset, expected in minor_ranks(P.table, t, j).items():
+                    assert (D.rank_of(subset), C.rank_of(subset), S.rank_of(subset)) == expected
+
+
+def test_relabel_matches_its_definition_past_n5(wide_instances):
+    rng = random.Random(11)
+    for P in wide_instances:
+        sigma = rng.sample(range(1, P.n + 1), P.n)
+        Q = P.relabel(sigma)
+        for size in range(P.n + 1):
+            for subset in itertools.combinations(range(1, P.n + 1), size):
+                assert Q.rank_of(sigma[e - 1] for e in subset) == P.rank_of(subset)
 
 
 def test_slice_bases_partition_by_coordinate(example5):

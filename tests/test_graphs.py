@@ -5,12 +5,16 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx
 import pytest
+import sympy
 
+from polymat.activity import polynomial_pair
 from polymat.core import Polymatroid, RankTable
 from polymat.graphs import Graph, cut_formula_check
 from polymat.hypergraphs import Hypergraph
 from polymat.matroids import Matroid, tutte_polynomial
+from polymat.polynomials import Polynomial
 from polymat.structure import rank_drop_thresholds
 from polymat.subsets import elements_of
 
@@ -328,3 +332,42 @@ def test_loops_shift_tutte_and_nullity_together():
     report = cut_formula_check(loopy, 1)
     assert report.nullity == 2
     assert report.passed
+
+
+def _seeded_multigraph(rng: random.Random, edge_count: int):
+    """A connected multigraph on 3-6 vertices with at least one loop and one parallel pair."""
+    vertex_count = rng.randint(3, min(6, edge_count - 1))
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, vertex_count + 1)]
+    loop_vertex = rng.randint(1, vertex_count)
+    edges += [rng.choice(edges), (loop_vertex, loop_vertex)]
+    while len(edges) < edge_count:
+        edges.append((rng.randint(1, vertex_count), rng.randint(1, vertex_count)))
+    rng.shuffle(edges)
+    return vertex_count, edges
+
+
+@pytest.mark.parametrize("edge_count", range(6, 13))
+def test_graph_polynomials_match_networkx_tutte(edge_count):
+    # networkx shares no code with polymat and handles loops and parallel edges.
+    x, y = sympy.symbols("x y")
+    rng = random.Random(edge_count)
+    for _ in range(3):
+        vertex_count, edges = _seeded_multigraph(rng, edge_count)
+        multigraph = networkx.MultiGraph()
+        multigraph.add_nodes_from(range(1, vertex_count + 1))
+        multigraph.add_edges_from(edges)
+        terms = sympy.Poly(networkx.tutte_polynomial(multigraph), x, y).terms()
+        reference = {(i, j): int(c) for (i, j), c in terms}
+        M = Graph(vertex_count, edges).cycle_matroid()
+        grid = tutte_polynomial(M).grid
+        ours = {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c}
+        assert ours == reference, edges
+        # I(x) = x^r T(1/x, 1) and X(y) = y^(m-r) T(1, 1/y), r = vertex_count - 1.
+        at_y1 = [0] * vertex_count
+        at_x1 = [0] * (edge_count - vertex_count + 2)
+        for (i, j), c in reference.items():
+            at_y1[i] += c
+            at_x1[j] += c
+        interior, exterior = polynomial_pair(M.to_polymatroid())
+        assert interior == Polynomial(tuple(reversed(at_y1)), "x"), edges
+        assert exterior == Polynomial(tuple(reversed(at_x1)), "y"), edges

@@ -239,3 +239,14 @@ def test_prefix_check_rejects_bad_k(example5):
         binomial_prefix_check(example5, 5)
     with pytest.raises(ValueError):
         binomial_prefix_check(example5, -1)
+
+
+@pytest.mark.parametrize(
+    "family", [hyperplane_sets, circuit_sets, rank_drop_thresholds, deficiency_thresholds]
+)
+def test_families_computed_once_and_read_only(example5, family):
+    assert family(example5) is family(example5)
+    with pytest.raises(TypeError):
+        family(example5)[0] = family(example5)[0]
+    # The dual is a new object, so a duality check never meets the cached value.
+    assert family(example5.dual()) is not family(example5)

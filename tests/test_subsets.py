@@ -1,7 +1,7 @@
 import pytest
 
 from polymat import bit, complement, elements_of, full_mask, iter_masks, mask_of
-from polymat.subsets import contains, subset_sums
+from polymat.subsets import subset_sums
 
 
 def test_bit_positions():
@@ -36,11 +36,6 @@ def test_mask_of_rejects_out_of_range():
 def test_complement():
     assert complement(0b101, 3) == 0b010
     assert complement(0, 2) == 0b11
-
-
-def test_contains():
-    assert contains(0b101, 1)
-    assert not contains(0b101, 2)
 
 
 def test_iter_masks_covers_everything():
