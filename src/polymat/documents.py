@@ -18,9 +18,10 @@ form, and parse(emit(parse(text))) == parse(text).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import ClassVar, Union
 
-from .subsets import elements_of, iter_masks, mask_of
+from .subsets import elements_of, mask_of
 
 
 class ParseError(ValueError):
@@ -151,8 +152,9 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
         if subset in seen:
             raise ParseError(lineno, columns[1], f"duplicate rank entry for {tokens[1]!r}")
         seen[subset] = _parse_int(tokens[2], lineno, columns[2], "rank value")
-    if len(seen) != 1 << n:
-        missing = next(s for s in map(elements_of, iter_masks(n)) if s not in seen)
+    # Entries are distinct subsets of 1..n: a bit length <= n means fewer than 2^n, never built.
+    if len(seen).bit_length() <= n:
+        missing = next(s for s in map(elements_of, count()) if s not in seen)
         raise ParseError(
             last_line, 1, f"rank table is not total: missing subset {_subset_text(missing)}"
         )

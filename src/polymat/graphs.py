@@ -2,9 +2,12 @@
 
 Edges keep their input order; edge i of the graph is element i of the
 cycle matroid, so the activity order on the matroid side is the edge
-numbering.  Bonds (minimal edge cuts) are found by scanning vertex
-bipartitions with connected sides, which characterizes them in a
-connected graph.
+numbering.  Every edge is also kept as the mask of its endpoints, and
+one helper, ``_components``, counts components by merging those vertex
+masks; graph ranks, connectivity and the incidence rank of hypergraphs
+all go through it.  Bonds (minimal edge cuts) are found once per graph
+by scanning vertex bipartitions with connected sides, which
+characterizes them in a connected graph.
 """
 
 from __future__ import annotations
@@ -15,31 +18,35 @@ from typing import Iterable, Sequence
 from .core import _once
 from .matroids import Matroid, tutte_polynomial
 from .polynomials import Polynomial
-from .structure import binom, rank_drop_thresholds
+from .structure import _binomial_formula, rank_drop_thresholds
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _components(vertex_mask: int, edge_vertex_masks: Sequence[int], chosen: int) -> int:
+    """Components of the vertices in ``vertex_mask`` joined by the chosen edges.
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-    def copy(self) -> "_UnionFind":
-        dup = _UnionFind(0)
-        dup.parent = list(self.parent)
-        return dup
+    Each edge is the mask of its endpoints; an edge reaching outside
+    ``vertex_mask`` is skipped.  Every chosen edge merges the disjoint
+    vertex blocks it meets into one, and each vertex that no block
+    covers is a component of its own.
+    """
+    blocks: list[int] = []
+    covered = 0
+    while chosen:
+        low = chosen & -chosen
+        chosen ^= low
+        merged = edge_vertex_masks[low.bit_length() - 1]
+        if merged & ~vertex_mask:
+            continue
+        covered |= merged
+        apart = []
+        for block in blocks:
+            if block & merged:
+                merged |= block
+            else:
+                apart.append(block)
+        apart.append(merged)
+        blocks = apart
+    return len(blocks) + (vertex_mask & ~covered).bit_count()
 
 
 class Graph:
@@ -60,19 +67,20 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @_once
+    def _edge_masks(self) -> tuple[int, ...]:
+        """Each edge as the mask of its endpoints; ``is_connected`` rules out huge |V| first."""
+        return tuple(1 << (u - 1) | 1 << (v - 1) for u, v in self.edges)
+
     def component_count(self, edge_mask: int | None = None) -> int:
         """Components over the full vertex set using the selected edges."""
         if edge_mask is None:
             edge_mask = (1 << self.edge_count) - 1
-        uf = _UnionFind(self.vertex_count + 1)
-        count = self.vertex_count
-        for idx, (u, v) in enumerate(self.edges):
-            if edge_mask >> idx & 1 and uf.union(u, v):
-                count -= 1
-        return count
+        return _components((1 << self.vertex_count) - 1, self._edge_masks(), edge_mask)
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        # Fewer than |V| - 1 edges cannot connect |V| vertices: answered before any |V|-wide work.
+        return self.vertex_count <= self.edge_count + 1 and self.component_count() == 1
 
     def subset_rank(self, edge_mask: int) -> int:
         """Cycle-matroid rank: vertices minus components."""
@@ -84,20 +92,22 @@ class Graph:
         m = self.edge_count
         out: list[int] = []
 
-        def extend(idx: int, picked: int, chosen: int, uf: _UnionFind) -> None:
+        def extend(idx: int, picked: int, chosen: int, labels: str) -> None:
+            # Character w - 1 of labels names vertex w's component; a join is one str.replace.
             if picked == need:
                 out.append(chosen)
                 return
             if idx == m or picked + (m - idx) < need:
                 return
             u, v = self.edges[idx]
-            if uf.find(u) != uf.find(v):
-                branch = uf.copy()
-                branch.union(u, v)
-                extend(idx + 1, picked + 1, chosen | (1 << idx), branch)
-            extend(idx + 1, picked, chosen, uf)
+            a, b = labels[u - 1], labels[v - 1]
+            if a != b:  # a loop never joins two labels
+                extend(idx + 1, picked + 1, chosen | (1 << idx), labels.replace(b, a))
+            extend(idx + 1, picked, chosen, labels)
 
-        extend(0, 0, 0, _UnionFind(self.vertex_count + 1))
+        if not self.is_connected():
+            return ()
+        extend(0, 0, 0, "".join(map(chr, range(self.vertex_count))))
         return tuple(sorted(out))
 
     @_once
@@ -110,41 +120,27 @@ class Graph:
         ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
         return Matroid._trusted(self.edge_count, ranks)
 
+    @_once
     def bonds(self) -> tuple[int, ...]:
-        """Minimal edge cuts as edge masks, sorted by (size, mask).
+        """Minimal edge cuts as edge masks, sorted by (size, mask); once per graph.
 
         Scans vertex bipartitions whose two sides both induce connected
         subgraphs; in a connected graph these are exactly the bonds.
         """
         if not self.is_connected():
             raise ValueError("bonds are defined here for connected graphs only")
-        nv = self.vertex_count
+        every = (1 << self.vertex_count) - 1
         out = []
-        for half in range(1 << (nv - 1)):
+        for half in range(1 << (self.vertex_count - 1)):
             side = (half << 1) | 1  # vertex 1 stays on the first side
-            if side == (1 << nv) - 1:
-                continue
-            if not self._induced_connected(side):
-                continue
-            other = ~side & ((1 << nv) - 1)
-            if not self._induced_connected(other):
-                continue
-            cut = 0
-            for idx, (u, v) in enumerate(self.edges):
-                if bool(side >> (u - 1) & 1) != bool(side >> (v - 1) & 1):
-                    cut |= 1 << idx
-            out.append(cut)
+            other = every ^ side
+            if other and self._induced_connected(side) and self._induced_connected(other):
+                out.append(sum(1 << idx for idx, e in enumerate(self._edge_masks())
+                               if e & side and e & other))
         return tuple(sorted(set(out), key=lambda m: (m.bit_count(), m)))
 
     def _induced_connected(self, vertex_mask: int) -> bool:
-        uf = _UnionFind(self.vertex_count + 1)
-        inside = [v for v in range(1, self.vertex_count + 1) if vertex_mask >> (v - 1) & 1]
-        count = len(inside)
-        for u, v in self.edges:
-            if vertex_mask >> (u - 1) & 1 and vertex_mask >> (v - 1) & 1:
-                if uf.union(u, v):
-                    count -= 1
-        return count == 1
+        return _components(vertex_mask, self._edge_masks(), (1 << self.edge_count) - 1) == 1
 
     def bond_size_counts(self) -> dict[int, int]:
         """Number of bonds of each size j (only sizes that occur)."""
@@ -243,13 +239,12 @@ def cut_formula_check(G: Graph, k: int) -> CutFormulaReport:
     counts = G.bond_size_counts()
     t1y: Polynomial = tutte_polynomial(G.cycle_matroid()).at_x1()
     i_top = min((3 * (k + 1) - 1) // 2, nullity)
-    rows = []
-    nv = G.vertex_count
-    for i in range(i_top + 1):
-        value = binom(nv + i - 2, i)
-        for j in range(i + 1):
-            value -= binom(nv + i - 2 - j, i - j) * counts.get(j, 0)
-        rows.append(CutFormulaRow(i, value, t1y.coefficient(nullity - i)))
+    rows = tuple(
+        CutFormulaRow(
+            i, _binomial_formula(G.vertex_count - 1, counts, i), t1y.coefficient(nullity - i)
+        )
+        for i in range(i_top + 1)
+    )
     r2 = rank_drop_thresholds(G.cycle_matroid().to_polymatroid()).get(2)
     threshold_ok = r2 is None or 3 * (k + 1) <= 2 * r2
-    return CutFormulaReport(k, nullity, counts, tuple(rows), threshold_ok)
+    return CutFormulaReport(k, nullity, counts, rows, threshold_ok)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Polymatroid, _once
-from .graphs import Graph, _UnionFind
+from .graphs import Graph, _components
 from .structure import (
     binom,
     binomial_prefix_check,
@@ -82,18 +82,11 @@ class Hypergraph:
         """Components of the incidence graph on the chosen hyperedges.
 
         The full vertex set stays present, so uncovered vertices count
-        as singleton components.
+        as singleton components.  A hyperedge node is never alone: it
+        joins the block of its own vertices, so merging the hyperedges'
+        vertex masks counts the same components.
         """
-        nv = self.vertex_count
-        chosen = [i for i in range(self.edge_count) if edge_subset_mask >> i & 1]
-        uf = _UnionFind(nv + len(chosen))
-        count = nv + len(chosen)
-        for slot, i in enumerate(chosen):
-            mask = self.edge_masks[i]
-            for k in range(nv):
-                if mask >> k & 1 and uf.union(k, nv + slot):
-                    count -= 1
-        return count
+        return _components(full_mask(self.vertex_count), self.edge_masks, edge_subset_mask)
 
     def edge_subset_rank(self, edge_subset_mask: int) -> int:
         """|V| minus the restricted component count."""

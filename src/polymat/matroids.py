@@ -3,7 +3,8 @@
 The Tutte polynomial is evaluated by the corank-nullity subset
 expansion, which is independent of the activity machinery and is used
 to cross-check the interior and exterior polynomials of the induced
-polymatroid: the 0/1 indicator vectors of the bases.
+polymatroid: the 0/1 indicator vectors of the bases.  Its grid is
+computed once per matroid and shared by every check that reads it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .activity import polynomial_pair
-from .core import Polymatroid, SizeLimitError, _once
+from .core import Polymatroid, _once
 from .polynomials import Polynomial
 from .structure import (
     circuit_sets,
@@ -219,10 +220,13 @@ class TuttePolynomial:
         return Polynomial(tuple(sum(row) for row in self.grid), "x")
 
 
-def tutte_polynomial(M: Matroid, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TuttePolynomial:
-    """Corank-nullity expansion over all 2^n subsets."""
-    if M.n > max_elements:
-        raise SizeLimitError(f"{M.n} elements exceed the limit {max_elements}")
+@_once
+def tutte_polynomial(M: Matroid) -> TuttePolynomial:
+    """Corank-nullity expansion over the 2^n subsets of the rank table; once per matroid.
+
+    Reads the table the matroid already holds, so it needs no size
+    guard of its own: the input's size guard bounds both.
+    """
     d = M.rank
     width = M.n - d
     grid = [[0] * (width + 1) for _ in range(d + 1)]

@@ -187,7 +187,7 @@ def exterior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = Fa
     with ``unchecked=True``.
     """
     _check_index(P, i, unchecked, exterior_formula_range)
-    return _binomial_formula(P.full_rank, hyperplane_sets(P), i)
+    return _binomial_formula(P.full_rank, {j: len(s) for j, s in hyperplane_sets(P).items()}, i)
 
 
 def interior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = False) -> int:
@@ -196,7 +196,7 @@ def interior_coefficient_formula(P: Polymatroid, i: int, *, unchecked: bool = Fa
     Exact for 0 <= i < the second deficiency threshold.
     """
     _check_index(P, i, unchecked, interior_formula_range)
-    return _binomial_formula(full_deficiency(P), circuit_sets(P), i)
+    return _binomial_formula(full_deficiency(P), {j: len(s) for j, s in circuit_sets(P).items()}, i)
 
 
 def _check_index(P: Polymatroid, i: int, unchecked: bool, formula_range) -> None:
@@ -210,11 +210,14 @@ def _check_index(P: Polymatroid, i: int, unchecked: bool, formula_range) -> None
         )
 
 
-def _binomial_formula(top: int, families: Mapping[int, frozenset[int]], i: int) -> int:
-    """binom(top + i - 1, i) - sum over j <= i of binom(top + i - 1 - j, i - j) * |families[j]|."""
+def _binomial_formula(top: int, counts: Mapping[int, int], i: int) -> int:
+    """binom(top + i - 1, i) - sum over j <= i of binom(top + i - 1 - j, i - j) * counts[j].
+
+    ``counts`` maps a set size j to how many sets have it; a missing size counts zero.
+    """
     total = binom(top + i - 1, i)
     for j in range(i + 1):
-        total -= binom(top + i - 1 - j, i - j) * len(families.get(j, ()))
+        total -= binom(top + i - 1 - j, i - j) * counts.get(j, 0)
     return total
 
 

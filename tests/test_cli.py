@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import time
+import tracemalloc
 
 import pytest
 
@@ -388,3 +390,52 @@ def test_every_command_ends_without_traceback(capsys, tmp_path, name, command):
     code, _, err = run(capsys, [command, str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edge", ["1 2", "999999999 1000000000"])
+def test_huge_vertex_count_exits_2_without_allocating(capsys, tmp_path, edge):
+    # More vertices than edges + 1 cannot be connected; that is answered
+    # before anything per vertex is allocated.
+    path = tmp_path / "sparse.graph"
+    path.write_text(f"kind graph\nvertices 1000000000\nedge {edge}\n")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 1 << 20
+    assert (code, out) == (2, "")
+    assert err == "error: cycle matroid requires a connected graph\n"
+
+
+_NUMBER_REPLACEMENTS = ("-1", "0", "1000000000", "x")
+
+
+def _mutants(text: str):
+    """Each line dropped, each line doubled, and each numeric token replaced."""
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        yield "".join(lines[:k] + lines[k + 1 :])
+        yield "".join(lines[: k + 1] + lines[k:])
+        tokens = line.split()
+        for t, token in enumerate(tokens):
+            if token.isdigit():
+                for value in _NUMBER_REPLACEMENTS:
+                    changed = " ".join(tokens[:t] + [value] + tokens[t + 1 :]) + "\n"
+                    yield "".join(lines[:k] + [changed] + lines[k + 1 :])
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.iterdir()))
+def test_every_command_survives_mutated_samples(capsys, tmp_path, sample):
+    path = tmp_path / sample
+    for text in _mutants((SAMPLES / sample).read_text()):
+        path.write_text(text)
+        for command in cli._COMMANDS:
+            start = time.perf_counter()
+            code, _, err = run(capsys, [command, str(path)])
+            assert code in (0, 1, 2), (command, text)
+            assert "Traceback" not in err, (command, text)
+            assert time.perf_counter() - start < 5, (command, text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -173,6 +174,18 @@ def test_rank_table_missing_subset_named():
 def test_rank_table_missing_empty_subset_named():
     text = "kind rank-table\nn 1\nrank 1 1\n"
     expect_error(text, 3, "missing subset empty")
+
+
+def test_rank_table_missing_subset_found_without_building_two_to_the_n():
+    # 2^(10^9) would be a 125 MB integer; the totality check never builds it.
+    text = "kind rank-table\nn 1000000000\nrank empty 0\nrank 1 1\n"
+    tracemalloc.start()
+    try:
+        expect_error(text, 4, "missing subset 2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_malformed_subset():

@@ -13,10 +13,12 @@ from polymat.activity import polynomial_pair
 from polymat.core import Polymatroid, RankTable
 from polymat.graphs import Graph, cut_formula_check
 from polymat.hypergraphs import Hypergraph
-from polymat.matroids import Matroid, tutte_polynomial
+from polymat import matroids
+from polymat.matroids import Matroid, TuttePolynomial, tutte_polynomial
 from polymat.polynomials import Polynomial
 from polymat.structure import rank_drop_thresholds
 from polymat.subsets import elements_of
+from polymat.verify import verify_graph
 
 from oracles import (
     brute_bonds,
@@ -230,9 +232,46 @@ def test_single_vertex_has_no_bonds():
     assert G.edge_connectivity() is None
 
 
+def test_bonds_are_computed_once():
+    G = k4()
+    assert G.bonds() is G.bonds()
+
+
+def test_verify_graph_scans_bonds_and_expands_tutte_once(monkeypatch):
+    # One bipartition scan tests at most both sides of the 2^(|V|-1) - 1
+    # proper bipartitions that keep vertex 1 on the first side.
+    scans = []
+    induced = Graph._induced_connected
+    monkeypatch.setattr(
+        Graph, "_induced_connected", lambda G, side: scans.append(side) or induced(G, side)
+    )
+    grids = []
+    monkeypatch.setattr(
+        matroids, "TuttePolynomial", lambda grid: grids.append(grid) or TuttePolynomial(grid)
+    )
+    assert all(check.passed for check in verify_graph(k5()))
+    assert 0 < len(scans) <= 2 * (2**4 - 1)
+    assert len(grids) == 1
+
+
 def test_path_on_13_vertices_has_12_bonds():
     G = Graph(13, [(i, i + 1) for i in range(1, 13)])
     assert G.bonds() == tuple(1 << i for i in range(12))
+
+
+@pytest.mark.parametrize("edge_count", range(8, 13))
+def test_connectivity_matches_oracles_past_five_vertices(edge_count):
+    # The random corpus above stops at five vertices; these multigraphs have
+    # 6-9, each with a loop and a parallel pair.
+    rng = random.Random(100 + edge_count)
+    vertex_count, edges = _seeded_multigraph(rng, edge_count, vertices=(6, 9))
+    G = Graph(vertex_count, edges)
+    for mask in range(1 << edge_count):
+        kept = [edges[i] for i in range(edge_count) if mask >> i & 1]
+        assert G.component_count(mask) == component_count(vertex_count, kept)
+    trees = {mask_to_indices(m) for m in G.spanning_tree_masks()}
+    assert trees == brute_spanning_trees(vertex_count, edges)
+    assert {mask_to_indices(m) for m in G.bonds()} == brute_bonds(vertex_count, edges)
 
 
 # -- girth -------------------------------------------------------------------
@@ -334,9 +373,12 @@ def test_loops_shift_tutte_and_nullity_together():
     assert report.passed
 
 
-def _seeded_multigraph(rng: random.Random, edge_count: int):
-    """A connected multigraph on 3-6 vertices with at least one loop and one parallel pair."""
-    vertex_count = rng.randint(3, min(6, edge_count - 1))
+def _seeded_multigraph(rng: random.Random, edge_count: int, vertices: tuple[int, int] = (3, 6)):
+    """A connected multigraph with at least one loop and one parallel pair.
+
+    The vertex count lies in the ``vertices`` range and below ``edge_count``.
+    """
+    vertex_count = rng.randint(vertices[0], min(vertices[1], edge_count - 1))
     edges = [(rng.randint(1, v - 1), v) for v in range(2, vertex_count + 1)]
     loop_vertex = rng.randint(1, vertex_count)
     edges += [rng.choice(edges), (loop_vertex, loop_vertex)]

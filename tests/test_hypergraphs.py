@@ -103,6 +103,18 @@ def test_restricted_components_match_oracle():
             )
 
 
+def test_restricted_components_match_oracle_on_six_to_ten_hyperedges():
+    # Past the random corpus above: up to six vertices and ten hyperedges.
+    rng = random.Random(19)
+    for edge_count in range(6, 11):
+        names = "abcdef"[: rng.randint(3, 6)]
+        H = Hypergraph(names, [rng.sample(names, rng.randint(1, 3)) for _ in range(edge_count)])
+        for chosen in range(1 << edge_count):
+            assert H.restricted_components(chosen) == brute_restricted_components(
+                H.vertex_count, H.edge_masks, chosen
+            )
+
+
 def test_uncovered_vertices_count_as_components():
     H = Hypergraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert H.restricted_components(0b01) == 2  # {a,b} joined, c alone

@@ -3,7 +3,6 @@ import pytest
 from polymat import (
     BaseExchangeError,
     Matroid,
-    SizeLimitError,
     check_matroid_polynomials,
     circuit_sets,
     elements_of,
@@ -68,9 +67,9 @@ def test_u23_tutte():
     assert T.coefficient(0, 5) == 0
 
 
-def test_tutte_size_guard():
-    with pytest.raises(SizeLimitError):
-        tutte_polynomial(u23(), max_elements=2)
+def test_tutte_polynomial_is_computed_once():
+    M = u23()
+    assert tutte_polynomial(M) is tutte_polynomial(M)
 
 
 def test_tutte_matches_deletion_contraction():
