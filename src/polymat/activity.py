@@ -80,30 +80,33 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     coordinate t.  A second route to the same polynomial as
     ``exterior_polynomial``; the recursion bottoms out at one element,
     where the polynomial is 1.  The first step moves ``element`` to the top;
-    the recursion then runs on plain value tuples.  Slices often share a rank
+    the recursion then runs on plain value tuples and adds plain coefficient
+    lists, and one ``Polynomial`` is built at the root.  Slices often share a rank
     table, so each table, pivoting on the top element, is expanded once per
     call; nothing is kept between calls.
     """
     if element is None:
         element = P.n
     P._check_element(element)
-    expanded: dict[tuple[int, ...], Polynomial] = {}
+    expanded: dict[tuple[int, ...], list[int]] = {}
 
-    def expand(values: tuple[int, ...]) -> Polynomial:
+    def expand(values: tuple[int, ...]) -> list[int]:
         if values not in expanded:
-            total = Polynomial((1,), "y")
+            total = [1]
             half = len(values) // 2
             if half > 1:
                 without, within = values[:half], values[half:]  # f(I), f(I + top)
-                total = expand(tuple(v - within[0] for v in within))
+                total = list(expand(tuple(v - within[0] for v in within)))
                 for j in range(values[-1] - without[-1], within[0]):
-                    child = tuple(map(min, without, [v - j for v in within]))
-                    total += expand(child).shifted(1)
+                    child = expand(tuple(map(min, without, [v - j for v in within])))
+                    total += [0] * (len(child) + 1 - len(total))
+                    for k, c in enumerate(child, 1):  # y * child
+                        total[k] += c
             expanded[values] = total
         return expanded[values]
 
     without, within = _split(P.table.values, element)
-    return Polynomial(expand(tuple(without + within)).coeffs, "y")
+    return Polynomial(tuple(expand(tuple(without + within))), "y")
 
 
 def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:

@@ -123,8 +123,7 @@ def _emit(args, lines: list[str], payload: dict) -> None:
     if args.machine:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
 
 
 def _subset_lists(masks) -> list[list[int]]:
@@ -176,13 +175,12 @@ def _cmd_bases(doc, obj, args) -> int:
     P = _as_polymatroid(obj)
     bases = P.bases()
     lines = [f"bases {len(bases)}"]
-    lines.extend(" ".join(map(str, b)) for b in bases)
-    payload = {
-        "command": "bases",
-        "kind": doc.kind,
-        "count": len(bases),
-        "bases": [list(b) for b in bases],
-    }
+    payload = {"command": "bases", "kind": doc.kind, "count": len(bases)}
+    if args.machine:
+        payload["bases"] = [list(b) for b in bases]
+    else:
+        row = " ".join(["%d"] * P.n)
+        lines += [row % b for b in bases]
     _emit(args, lines, payload)
     return 0
 

@@ -273,18 +273,37 @@ class Polymatroid:
         recurses on that slice, whose table min(f(I), f(I + 1) - j) over the
         other elements (the theorem behind ``slice_at``) is half the size.
         Every slice in range is nonempty, so every leaf is a basis.
+
+        Many prefixes reach the same slice, so the slices form a DAG: each
+        distinct table is one node holding its (j, child) edges, and a
+        one-element table (0, a) is a leaf whose only coordinate is a.  A
+        depth-first walk in increasing j then emits every root-to-leaf path.
+        The nodes live for one call only.
         """
+        node_of: dict[tuple[int, ...], int] = {}
+        edges: list[list[tuple[int, int | None]]] = []
+
+        def node(vals: tuple[int, ...]) -> int:
+            if vals not in node_of:
+                low, high = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
+                pins = range(vals[-1] - vals[-2], vals[1] + 1)
+                edges.append(
+                    [(j, node(tuple(map(min, low, [v - j for v in high])))) for j in pins]
+                    if len(vals) > 2 else [(vals[1], None)]
+                )
+                node_of[vals] = len(edges) - 1
+            return node_of[vals]
+
         out: list[tuple[int, ...]] = []
 
-        def extend(prefix: tuple[int, ...], vals: Sequence[int]) -> None:
-            if len(vals) == 1:
-                out.append(prefix)
-                return
-            low, high = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
-            for j in range(vals[-1] - vals[-2], vals[1] + 1):
-                extend(prefix + (j,), list(map(min, low, [v - j for v in high])))
+        def walk(prefix: tuple[int, ...], k: int) -> None:
+            for j, child in edges[k]:
+                if child is None:
+                    out.append(prefix + (j,))
+                else:
+                    walk(prefix + (j,), child)
 
-        extend((), self.table.values)
+        walk((), node(self.table.values))
         return tuple(out)
 
     def basis_count(self) -> int:

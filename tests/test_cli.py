@@ -11,10 +11,14 @@ import tracemalloc
 import pytest
 
 import polymat.cli as cli
+from polymat import Polymatroid, RankTable
+from polymat.documents import RankTableDocument, emit_document
 from polymat.polynomials import Polynomial
+from polymat.subsets import elements_of
 from polymat.verify import CheckResult
 
 from conftest import reference_document
+from generators import ladder_tables
 
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -91,6 +95,29 @@ def test_bases_lists_all_seventeen(capsys, table_file):
     assert len(rows) == 17
     assert all(len(row.split()) == 5 for row in rows)
     assert "1 1 0 1 0" in rows
+
+
+def _rank_table_file(tmp_path, table) -> str:
+    entries = tuple((elements_of(m), v) for m, v in enumerate(table.values))
+    path = tmp_path / "pinned.rank-table"
+    path.write_text(emit_document(RankTableDocument(table.n, entries)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [ladder_tables()["coverage-9a"], RankTable(1, (0, 3))],
+    ids=["coverage-9a", "one-element"],
+)
+def test_bases_output_is_pinned(capsys, tmp_path, table):
+    path = _rank_table_file(tmp_path, table)
+    bases = Polymatroid(table).bases()
+    lines = [f"bases {len(bases)}"] + [" ".join(map(str, b)) for b in bases]
+    assert run(capsys, ["bases", path]) == (0, "".join(line + "\n" for line in lines), "")
+    payload = {"bases": [list(b) for b in bases], "command": "bases",
+               "count": len(bases), "kind": "rank-table"}
+    machine = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, ["bases", "--machine", path]) == (0, machine, "")
 
 
 # -- poly ------------------------------------------------------------------------
