@@ -93,8 +93,8 @@ def _build_object(doc: InputDocument, args):
     """Construct the frontend object named by the document, behind size guards."""
     if isinstance(doc, RankTableDocument):
         _size_cap(args, DEFAULT_MAX_GROUND_SET, doc.n, "ground-set size")
-        table = RankTable.from_subsets(doc.n, dict(doc.entries), max_n=max(doc.n, 1))
-        return Polymatroid(table)
+        # The parser checked range, duplicates and totality, and sorted the entries by mask.
+        return Polymatroid(RankTable(doc.n, [v for _, v in doc.entries], max_n=doc.n))
     if isinstance(doc, GraphDocument):
         _size_cap(args, DEFAULT_MAX_ELEMENTS, len(doc.edges), "edge count")
         return Graph(doc.vertex_count, doc.edges)

@@ -200,8 +200,8 @@ class Polymatroid:
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
     Tables valid by theorem come in through ``_trusted`` and skip them.
-    A polymatroid is immutable: its bases, polynomial pair and structure
-    maps are computed once (``_once``) and shared by every later caller.
+    A polymatroid is immutable: its bases, dual, polynomial pair and
+    structure maps are computed once (``_once``) and then shared.
     """
 
     def __init__(self, table: RankTable):
@@ -318,6 +318,7 @@ class Polymatroid:
 
     # -- derived polymatroids -------------------------------------------
 
+    @_once
     def dual(self) -> Polymatroid:
         """Rank table f*(I) = f([n] \\ I) - f([n]) + sum of singleton ranks over I."""
         n = self.n

@@ -5,15 +5,19 @@ hyperedges keep their input order, which fixes the activity order of
 the induced polymatroid.  The rank of a hyperedge subset E' is
 |covered vertices| - (components of the incidence graph restricted to
 E'), equivalently |V| minus the component count when uncovered
-vertices are kept as singletons.  The bases of that polymatroid are
+vertices are kept as singletons; the component count of every
+hyperedge subset is tabulated once per hypergraph and read by the rank
+and the connectivity families.  The bases of that polymatroid are
 exactly the spanning-tree degree vectors of the incidence graph with
 one subtracted per hyperedge, which gives an independent route for
-cross-checking.
+cross-checking: a DP over vertex partitions builds those vectors
+without listing the trees or reading the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Polymatroid, _once
@@ -27,7 +31,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import complement, full_mask, iter_masks
+from .subsets import bits, by_size, complement, full_mask, iter_masks
 
 
 class Hypergraph:
@@ -96,35 +100,49 @@ class Hypergraph:
         return self.restricted_components(full_mask(self.edge_count)) == 1
 
     @_once
+    def _component_counts(self) -> tuple[int, ...]:
+        """``restricted_components`` of every hyperedge subset by mask; once per hypergraph."""
+        every = full_mask(self.vertex_count)
+        return tuple(_components(every, self.edge_masks, m) for m in iter_masks(self.edge_count))
+
+    @_once
     def to_polymatroid(self) -> Polymatroid:
         """Polymatroid of the subset rank, valid by theorem; requires a connected hypergraph."""
         if not self.is_connected():
             raise ValueError("hypergraph must be connected")
-        values = [self.edge_subset_rank(m) for m in iter_masks(self.edge_count)]
+        values = [self.vertex_count - c for c in self._component_counts()]
         return Polymatroid._trusted(self.edge_count, values)
 
     def cyclomatic_number(self, edge_subset_mask: int) -> int:
         """Independent cycles of the incidence graph restricted to the subset."""
         bip_edges = sum(
-            self.edge_masks[i].bit_count()
-            for i in range(self.edge_count)
-            if edge_subset_mask >> i & 1
+            self.edge_masks[low.bit_length() - 1].bit_count() for low in bits(edge_subset_mask)
         )
         nodes = self.vertex_count + edge_subset_mask.bit_count()
-        return bip_edges - nodes + self.restricted_components(edge_subset_mask)
+        return bip_edges - nodes + self._component_counts()[edge_subset_mask]
 
     def tree_degree_vectors(self) -> frozenset[tuple[int, ...]]:
-        """Spanning-tree degrees of the hyperedge nodes, each reduced by one."""
-        bip = self.incidence_graph()
-        nv = self.vertex_count
-        out = set()
-        for tree in bip.spanning_tree_masks():
-            degrees = [0] * self.edge_count
-            for idx, (u, v) in enumerate(bip.edges):
-                if tree >> idx & 1:
-                    degrees[v - nv - 1] += 1
-            out.add(tuple(d - 1 for d in degrees))
-        return frozenset(out)
+        """Spanning-tree degrees of the hyperedge nodes, each reduced by one.
+
+        A partition DP over the hyperedges in order: each hyperedge joins
+        a nonempty set of the vertex blocks it meets, and its coordinate
+        is the number joined minus one.  A state is a label string (each
+        vertex's block named by its least vertex) mapped to the degree
+        prefixes that reach it; the one-block state holds the answer.
+        """
+        states = {"".join(map(chr, range(self.vertex_count))): {()}}
+        for mask in self.edge_masks:
+            after: dict[str, set[tuple[int, ...]]] = {}
+            for labels, prefixes in states.items():
+                met = sorted({labels[low.bit_length() - 1] for low in bits(mask)})
+                for size in range(1, len(met) + 1):
+                    for first, *rest in combinations(met, size):
+                        joined = labels
+                        for label in rest:
+                            joined = joined.replace(label, first)
+                        after.setdefault(joined, set()).update(p + (size - 1,) for p in prefixes)
+            states = after
+        return frozenset(states.get(chr(0) * self.vertex_count, ()))
 
     def girth(self) -> int | None:
         return self.incidence_graph().girth()
@@ -146,22 +164,14 @@ def two_component_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     complements of the hyperplane-like flats of the subset rank.
     """
     m = H.edge_count
-    grouped: dict[int, set[int]] = {j: set() for j in range(m + 1)}
-    for removed in iter_masks(m):
-        kept = complement(removed, m)
-        if H.restricted_components(kept) != 2:
-            continue
-        ok = True
-        probe = removed
-        while probe:
-            low = probe & -probe
-            if H.restricted_components(kept | low) != 1:
-                ok = False
-                break
-            probe ^= low
-        if ok:
-            grouped[removed.bit_count()].add(removed)
-    return {j: frozenset(s) for j, s in grouped.items()}
+    counts = H._component_counts()
+    found = (
+        removed
+        for removed in iter_masks(m)
+        if counts[complement(removed, m)] == 2
+        and all(counts[complement(removed ^ low, m)] == 1 for low in bits(removed))
+    )
+    return by_size(found, m)
 
 
 def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
@@ -172,45 +182,30 @@ def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     (length twice the subset size); grouped by subset size.  These are
     exactly the circuit-like subsets of the subset rank.
     """
-    m = H.edge_count
-    grouped: dict[int, set[int]] = {j: set() for j in range(m + 1)}
-    for chosen in range(1, 1 << m):
-        if H.cyclomatic_number(chosen) != 1:
-            continue
-        probe = chosen
-        ok = True
-        while probe:
-            low = probe & -probe
-            if H.cyclomatic_number(chosen ^ low) != 0:
-                ok = False
-                break
-            probe ^= low
-        if ok:
-            grouped[chosen.bit_count()].add(chosen)
-    return {j: frozenset(s) for j, s in grouped.items()}
+    cycles = H.cyclomatic_number
+    found = (
+        chosen
+        for chosen in iter_masks(H.edge_count)
+        if cycles(chosen) == 1 and all(cycles(chosen ^ low) == 0 for low in bits(chosen))
+    )
+    return by_size(found, H.edge_count)
 
 
 def split_threshold(H: Hypergraph) -> int | None:
     """Smallest removal set leaving at least three components."""
-    best = None
     m = H.edge_count
-    for removed in iter_masks(m):
-        if H.restricted_components(complement(removed, m)) >= 3:
-            size = removed.bit_count()
-            if best is None or size < best:
-                best = size
-    return best
+    counts = H._component_counts()
+    return min(
+        (r.bit_count() for r in iter_masks(m) if counts[complement(r, m)] >= 3), default=None
+    )
 
 
 def double_cycle_threshold(H: Hypergraph) -> int | None:
     """Smallest hyperedge subset carrying at least two independent cycles."""
-    best = None
-    for chosen in iter_masks(H.edge_count):
-        if H.cyclomatic_number(chosen) >= 2:
-            size = chosen.bit_count()
-            if best is None or size < best:
-                best = size
-    return best
+    return min(
+        (c.bit_count() for c in iter_masks(H.edge_count) if H.cyclomatic_number(c) >= 2),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)

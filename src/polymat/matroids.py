@@ -22,7 +22,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import bit, complement, elements_of, iter_masks, mask_of
+from .subsets import bit, bits, by_size, complement, elements_of, iter_masks, mask_of
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -105,10 +105,7 @@ class Matroid:
         return frozenset(out)
 
     def hyperplane_sets(self) -> dict[int, frozenset[int]]:
-        grouped: dict[int, set[int]] = {j: set() for j in range(self.n + 1)}
-        for m in self.hyperplanes():
-            grouped[self.n - m.bit_count()].add(m)
-        return {j: frozenset(s) for j, s in grouped.items()}
+        return by_size(self.hyperplanes(), self.n, lambda m: self.n - m.bit_count())
 
     def loop_mask(self) -> int:
         """Elements of rank zero, as a mask."""
@@ -125,16 +122,13 @@ class Matroid:
             if m == 0 or self.subset_rank(m) >= m.bit_count():
                 continue
             if all(
-                self.subset_rank(m ^ low) == (m ^ low).bit_count() for low in _bits(m)
+                self.subset_rank(m ^ low) == (m ^ low).bit_count() for low in bits(m)
             ):
                 out.append(m)
         return frozenset(out)
 
     def circuit_sets(self) -> dict[int, frozenset[int]]:
-        grouped: dict[int, set[int]] = {j: set() for j in range(self.n + 1)}
-        for m in self.circuits():
-            grouped[m.bit_count()].add(m)
-        return {j: frozenset(s) for j, s in grouped.items()}
+        return by_size(self.circuits(), self.n)
 
     def rank_drop_threshold(self, k: int) -> int | None:
         """Smallest removal set whose complement drops the rank by exactly k."""
@@ -174,21 +168,10 @@ def _check_exchange(masks: Sequence[int]) -> None:
         for b in masks:
             if a == b:
                 continue
-            only_a = a & ~b
-            only_b = b & ~a
-            while only_a:
-                low = only_a & -only_a
+            for low in bits(a & ~b):
                 stripped = a ^ low
-                if not any(stripped | y in base_set for y in _bits(only_b)):
+                if not any(stripped | y in base_set for y in bits(b & ~a)):
                     raise BaseExchangeError(elements_of(a), elements_of(b), low.bit_length())
-                only_a ^= low
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -290,10 +273,8 @@ def check_matroid_polynomials(M: Matroid) -> MatroidPolynomialReport:
     hyperplane_bridge = hyperplane_sets(P) == M.hyperplane_sets()
     # Loop singletons are matroid circuits but carry no singleton-sum
     # deficiency, so the polymatroid family matches the loop-free circuits.
-    loop_free = {
-        j: frozenset(c for c in s if not c & M.loop_mask())
-        for j, s in M.circuit_sets().items()
-    }
+    loops = M.loop_mask()
+    loop_free = {j: frozenset(c for c in s if not c & loops) for j, s in M.circuit_sets().items()}
     circuit_bridge = circuit_sets(P) == loop_free
     return MatroidPolynomialReport(
         interior,

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .activity import polynomial_pair
 from .core import Polymatroid, _once
-from .subsets import bit, complement, elements_of, full_mask, iter_masks, subset_sums
+from .subsets import bit, bits, by_size, complement, elements_of, full_mask, iter_masks, subset_sums
 
 
 def binom(a: int, b: int) -> int:
@@ -73,11 +73,8 @@ def flats(P: Polymatroid) -> tuple[int, ...]:
 def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
     """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object."""
     target = P.full_rank - 1
-    grouped: dict[int, set[int]] = {j: set() for j in range(P.n + 1)}
-    for m in iter_masks(P.n):
-        if P.rank(m) == target and is_flat(P, m):
-            grouped[P.n - m.bit_count()].add(m)
-    return MappingProxyType({j: frozenset(s) for j, s in grouped.items()})
+    found = (m for m in iter_masks(P.n) if P.rank(m) == target and is_flat(P, m))
+    return MappingProxyType(by_size(found, P.n, lambda m: P.n - m.bit_count()))
 
 
 # -- deficiency and circuits -------------------------------------------
@@ -96,31 +93,18 @@ def circuit_family(P: Polymatroid) -> frozenset[int]:
     """Subsets of deficiency exactly 1 all of whose proper subsets are tight."""
     sums = subset_sums(P.coord_max)
     values = P.table.values
-    out = []
-    for m in range(1, 1 << P.n):
-        if sums[m] - values[m] != 1:
-            continue
-        ok = True
-        mm = m
-        while mm:
-            low = mm & -mm
-            sub = m ^ low
-            if sums[sub] != values[sub]:
-                ok = False
-                break
-            mm ^= low
-        if ok:
-            out.append(m)
-    return frozenset(out)
+    return frozenset(
+        m
+        for m in range(1, 1 << P.n)
+        if sums[m] - values[m] == 1
+        and all(sums[m ^ low] == values[m ^ low] for low in bits(m))
+    )
 
 
 @_once
 def circuit_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
     """Circuit-like subsets grouped by size (keys 0..n); once per object."""
-    grouped: dict[int, set[int]] = {j: set() for j in range(P.n + 1)}
-    for m in circuit_family(P):
-        grouped[m.bit_count()].add(m)
-    return MappingProxyType({j: frozenset(s) for j, s in grouped.items()})
+    return MappingProxyType(by_size(circuit_family(P), P.n))
 
 
 # -- thresholds ---------------------------------------------------------
@@ -289,7 +273,15 @@ class PrefixEquivalence:
 
 
 def binomial_prefix_check(P: Polymatroid, k: int) -> PrefixEquivalence:
-    """Evaluate both prefix equivalences at a given k (0 <= k <= n-1)."""
+    """Evaluate both prefix equivalences at a given k (0 <= k <= n-1).
+
+    The conditions are read from the first thresholds.  Removing more
+    elements never raises the rank, and adding elements never lowers
+    the deficiency, so a failing set of size at most k extends to a
+    failing set of size exactly k.  Hence the complement of every
+    size-k subset has full rank iff r_1 > k, and every size-k subset
+    has deficiency zero iff r'_1 > k; a missing threshold never fails.
+    """
     if not 0 <= k <= P.n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= {P.n - 1}, got {k}")
     interior, exterior = polynomial_pair(P)
@@ -297,14 +289,6 @@ def binomial_prefix_check(P: Polymatroid, k: int) -> PrefixEquivalence:
     g = full_deficiency(P)
     ext_binomial = all(exterior.coefficient(i) == binom(fr + i - 1, i) for i in range(k + 1))
     int_binomial = all(interior.coefficient(i) == binom(g + i - 1, i) for i in range(k + 1))
-    sums = subset_sums(P.coord_max)
-    ext_condition = True
-    int_condition = True
-    for m in iter_masks(P.n):
-        if m.bit_count() != k:
-            continue
-        if P.rank(complement(m, P.n)) != fr:
-            ext_condition = False
-        if sums[m] != P.rank(m):
-            int_condition = False
+    ext_condition = rank_drop_thresholds(P).get(1, P.n + 1) > k
+    int_condition = deficiency_thresholds(P).get(1, P.n + 1) > k
     return PrefixEquivalence(k, ext_binomial, ext_condition, int_binomial, int_condition)

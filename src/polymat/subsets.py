@@ -7,7 +7,7 @@ ints and convert to element tuples only at reporting boundaries.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def bit(element: int) -> int:
@@ -38,6 +38,24 @@ def elements_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of the elements in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def by_size(
+    masks: Iterable[int], n: int, size: Callable[[int], int] = int.bit_count
+) -> dict[int, frozenset[int]]:
+    """Masks grouped by ``size(mask)``, with a (possibly empty) group for every key 0..n."""
+    grouped: dict[int, list[int]] = {j: [] for j in range(n + 1)}
+    for m in masks:
+        grouped[size(m)].append(m)
+    return {j: frozenset(group) for j, group in grouped.items()}
 
 
 def complement(mask: int, n: int) -> int:

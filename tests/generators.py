@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 
 from polymat import Graph, Polymatroid, RankTable
+from polymat.documents import HypergraphDocument
+from polymat.hypergraphs import Hypergraph
 
 
 def random_polymatroid(rng: random.Random, n: int | None = None) -> Polymatroid:
@@ -79,3 +81,13 @@ def doubled_k5_table() -> RankTable:
     """Twice the cycle-matroid rank of K5: n = 10 and 3,425 bases."""
     K5 = Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
     return RankTable(10, [2 * K5.subset_rank(m) for m in range(1 << 10)])
+
+
+def connected_hypergraph_document(seed: int, edge_count: int) -> HypergraphDocument:
+    """Six vertices and ``edge_count`` hyperedges of 2-3 vertices, redrawn until connected."""
+    rng = random.Random(seed)
+    names = tuple("abcdef")
+    while True:
+        edges = tuple(tuple(sorted(rng.sample(names, rng.randint(2, 3)))) for _ in range(edge_count))
+        if Hypergraph(names, edges).is_connected():
+            return HypergraphDocument(names, edges)

@@ -5,7 +5,9 @@ with deliberately different algorithms (plain product scans, DFS
 reachability, deletion-contraction) so tests compare two genuinely
 separate routes.  None of these functions import from the library
 beyond plain data (rank tables are consumed through their ``rank`` and
-``rank_of`` methods only).
+``rank_of`` methods only; the hypertree listing reads a graph's
+spanning trees, which ``test_graphs`` checks against
+``brute_spanning_trees``).
 """
 
 from __future__ import annotations
@@ -255,6 +257,42 @@ def brute_restricted_components(vertex_count, edge_vertex_masks, chosen_mask) ->
         remaining -= reachable(edges, start) | {start}
         parts += 1
     return parts
+
+
+def listed_tree_degree_vectors(vertex_count, edge_count, incidence_graph) -> frozenset:
+    """Hyperedge-node degrees minus one over the listed spanning trees of the incidence graph.
+
+    Nodes 1..vertex_count are the vertices, the next edge_count nodes the
+    hyperedges; every incidence edge is (vertex, hyperedge node).
+    """
+    out = set()
+    for tree in incidence_graph.spanning_tree_masks():
+        degrees = [-1] * edge_count
+        for idx, (_, node) in enumerate(incidence_graph.edges):
+            if tree >> idx & 1:
+                degrees[node - vertex_count - 1] += 1
+        out.add(tuple(degrees))
+    return frozenset(out)
+
+
+# -- prefix conditions ---------------------------------------------------------
+
+
+def brute_prefix_conditions(table, k) -> tuple[bool, bool]:
+    """(exterior, interior) conditions of the binomial prefix, by scanning size-k subsets.
+
+    Exterior: removing any k elements keeps the full rank.  Interior:
+    every k-subset's rank is the sum of its singleton ranks.
+    """
+    n = table.n
+    ground = range(1, n + 1)
+    full = table.rank_of(ground)
+    exterior = interior = True
+    for subset in itertools.combinations(ground, k):
+        rest = [e for e in ground if e not in subset]
+        exterior &= table.rank_of(rest) == full
+        interior &= table.rank_of(subset) == sum(table.rank_of((e,)) for e in subset)
+    return exterior, interior
 
 
 # -- sequences ---------------------------------------------------------------

@@ -27,7 +27,11 @@ from polymat.structure import (
 )
 from polymat.subsets import complement, full_mask
 
-from oracles import brute_restricted_components, brute_spanning_trees
+from oracles import (
+    brute_restricted_components,
+    brute_spanning_trees,
+    listed_tree_degree_vectors,
+)
 
 
 def parallel_pair() -> Hypergraph:
@@ -166,6 +170,27 @@ def test_tree_degree_vectors_against_brute_spanning_trees():
             degrees[v - H.vertex_count - 1] += 1
         vectors.add(tuple(d - 1 for d in degrees))
     assert H.tree_degree_vectors() == frozenset(vectors)
+
+
+def test_tree_degree_dp_matches_listed_spanning_trees_on_six_to_ten_hyperedges():
+    rng = random.Random(59)
+    cases = [
+        Hypergraph(("a",), [("a",)] * 6),  # one vertex: every hyperedge is a pendant node
+        Hypergraph(("a", "b"), [("a", "b")] * 4 + [("a",), ("b",), ("a", "b")]),
+        Hypergraph(("a", "b", "c"), [("a", "b"), ("b", "c")] * 4),
+    ]
+    for edge_count in (6, 6, 7, 7, 8, 8, 9, 9, 10, 10):
+        names = "abcdef"[: rng.randint(3, 6)]
+        cases.append(
+            Hypergraph(names, [rng.sample(names, rng.randint(1, 3)) for _ in range(edge_count)])
+        )
+    for H in cases:
+        listed = listed_tree_degree_vectors(H.vertex_count, H.edge_count, H.incidence_graph())
+        assert H.tree_degree_vectors() == listed
+        if H.is_connected():
+            assert listed == frozenset(H.to_polymatroid().bases())
+        else:
+            assert not listed
 
 
 def test_parallel_pair_polynomials():

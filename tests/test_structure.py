@@ -31,7 +31,8 @@ from polymat import (
     structure_summary,
 )
 
-from oracles import brute_unimodal
+from generators import ladder_tables
+from oracles import brute_prefix_conditions, brute_unimodal
 
 
 def _family(P, groups):
@@ -232,6 +233,19 @@ def test_prefix_equivalences_hold(full_corpus):
     for P in full_corpus:
         for k in range(P.n):
             assert binomial_prefix_check(P, k).passed
+
+
+def test_prefix_conditions_match_size_k_scan(full_corpus, wide_instances):
+    ladder = [Polymatroid(table) for table in ladder_tables().values()]
+    pairs = 0
+    for P in [*full_corpus, *wide_instances, *ladder]:
+        for k in range(P.n):
+            eq = binomial_prefix_check(P, k)
+            assert (eq.exterior_condition, eq.interior_condition) == brute_prefix_conditions(
+                P.table, k
+            )
+            pairs += 1
+    assert pairs == 958
 
 
 def test_prefix_check_rejects_bad_k(example5):

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import polymat.graphs
+import polymat.hypergraphs
 from polymat.graphs import Graph
 from polymat.hypergraphs import Hypergraph
 from polymat.matroids import Matroid
@@ -17,7 +19,7 @@ from polymat.verify import (
     verify_polymatroid,
 )
 
-from generators import random_polymatroid
+from generators import connected_hypergraph_document, random_polymatroid
 
 
 def assert_all_pass(checks):
@@ -119,6 +121,34 @@ def test_hypergraph_suite_on_samples():
         names = {c.name for c in checks}
         assert "tree-degree-vectors-match-bases" in names
         assert "girth-binomial-prefix" in names
+
+
+def _hypergraph(seed: int, edge_count: int) -> Hypergraph:
+    doc = connected_hypergraph_document(seed, edge_count)
+    return Hypergraph(doc.vertices, doc.hyperedges)
+
+
+@pytest.mark.parametrize("seed, edge_count", [(8, 6), (8, 8)])
+def test_hypergraph_suite_counts_components_once_per_subset(monkeypatch, seed, edge_count):
+    # One count for every hyperedge subset, plus the connectivity test before them.
+    H = _hypergraph(seed, edge_count)
+    calls = []
+    count = polymat.graphs._components
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(polymat.graphs, "_components", counted)
+    monkeypatch.setattr(polymat.hypergraphs, "_components", counted)
+    assert_all_pass(verify_hypergraph(H))
+    assert len(calls) <= 2**edge_count + 2
+
+
+def test_hypergraph_suite_passes_on_twelve_hyperedges():
+    H = _hypergraph(5, 12)
+    assert (H.vertex_count, H.edge_count) == (6, 12)
+    assert_all_pass(verify_hypergraph(H))
 
 
 def test_hypergraph_suite_requires_connected_input():
