@@ -112,13 +112,13 @@ class Graph:
 
     @_once
     def cycle_matroid(self) -> Matroid:
-        """Matroid of spanning trees from ``subset_rank``, valid by theorem; needs connectivity."""
+        """Tree-listing bases and ``subset_rank`` ranks, valid by theorem; needs connectivity."""
         if not self.is_connected():
             raise ValueError("cycle matroid requires a connected graph")
         if self.vertex_count == 1:
             raise ValueError("cycle matroid needs at least one edge in its bases")
         ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
-        return Matroid._trusted(self.edge_count, ranks)
+        return Matroid._trusted(self.edge_count, ranks, self.spanning_tree_masks())
 
     @_once
     def bonds(self) -> tuple[int, ...]:

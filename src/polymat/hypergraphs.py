@@ -31,7 +31,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import bits, by_size, complement, full_mask, iter_masks
+from .subsets import bits, by_size, complement, full_mask, iter_masks, subset_sums
 
 
 class Hypergraph:
@@ -113,13 +113,18 @@ class Hypergraph:
         values = [self.vertex_count - c for c in self._component_counts()]
         return Polymatroid._trusted(self.edge_count, values)
 
+    @_once
+    def _cycle_counts(self) -> tuple[int, ...]:
+        """Cyclomatic number of each hyperedge subset by mask: incidences - nodes + components."""
+        incidences = subset_sums([mask.bit_count() for mask in self.edge_masks])
+        return tuple(
+            s - self.vertex_count - m.bit_count() + c
+            for m, (s, c) in enumerate(zip(incidences, self._component_counts()))
+        )
+
     def cyclomatic_number(self, edge_subset_mask: int) -> int:
         """Independent cycles of the incidence graph restricted to the subset."""
-        bip_edges = sum(
-            self.edge_masks[low.bit_length() - 1].bit_count() for low in bits(edge_subset_mask)
-        )
-        nodes = self.vertex_count + edge_subset_mask.bit_count()
-        return bip_edges - nodes + self._component_counts()[edge_subset_mask]
+        return self._cycle_counts()[edge_subset_mask]
 
     def tree_degree_vectors(self) -> frozenset[tuple[int, ...]]:
         """Spanning-tree degrees of the hyperedge nodes, each reduced by one.
@@ -182,11 +187,11 @@ def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     (length twice the subset size); grouped by subset size.  These are
     exactly the circuit-like subsets of the subset rank.
     """
-    cycles = H.cyclomatic_number
+    cycles = H._cycle_counts()
     found = (
         chosen
-        for chosen in iter_masks(H.edge_count)
-        if cycles(chosen) == 1 and all(cycles(chosen ^ low) == 0 for low in bits(chosen))
+        for chosen, count in enumerate(cycles)
+        if count == 1 and all(cycles[chosen ^ low] == 0 for low in bits(chosen))
     )
     return by_size(found, H.edge_count)
 
@@ -203,8 +208,7 @@ def split_threshold(H: Hypergraph) -> int | None:
 def double_cycle_threshold(H: Hypergraph) -> int | None:
     """Smallest hyperedge subset carrying at least two independent cycles."""
     return min(
-        (c.bit_count() for c in iter_masks(H.edge_count) if H.cyclomatic_number(c) >= 2),
-        default=None,
+        (c.bit_count() for c, count in enumerate(H._cycle_counts()) if count >= 2), default=None
     )
 
 

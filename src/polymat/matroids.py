@@ -1,16 +1,22 @@
 """Matroids given by explicit base lists, plus a Tutte-polynomial oracle.
 
-The Tutte polynomial is evaluated by the corank-nullity subset
-expansion, which is independent of the activity machinery and is used
-to cross-check the interior and exterior polynomials of the induced
-polymatroid: the 0/1 indicator vectors of the bases.  Its grid is
-computed once per matroid and shared by every check that reads it.
+The native families come from the base list alone, by fundamental
+circuits and cocircuits (hyperplanes are the cocircuits' complements,
+loops the elements in no base), for ``verify`` to compare with the
+rank-table families of the polymatroid view.  The Tutte polynomial is
+evaluated by the corank-nullity subset expansion, which is independent
+of the activity machinery and is used to cross-check the interior and
+exterior polynomials of the induced polymatroid: the 0/1 indicator
+vectors of the bases.  Its grid is computed once per matroid and
+shared by every check that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Iterable, Sequence
 
 from .activity import polynomial_pair
@@ -22,7 +28,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import bit, bits, by_size, complement, elements_of, iter_masks, mask_of
+from .subsets import bits, by_size, complement, elements_of, full_mask, iter_masks, mask_of
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -58,22 +64,20 @@ class Matroid:
         if len(sizes) > 1:
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
         _check_exchange(masks)
-        self._set_ranks(n, [max((m & b).bit_count() for b in masks) for m in iter_masks(n)])
+        self._set(n, [max((m & b).bit_count() for b in masks) for m in iter_masks(n)], masks)
 
     @classmethod
-    def _trusted(cls, n: int, ranks: Sequence[int]) -> Matroid:
-        """Build unchecked from a table that is a matroid rank function by theorem."""
+    def _trusted(cls, n: int, ranks: Sequence[int], base_masks: Sequence[int]) -> Matroid:
+        """Build unchecked from a rank table and base list that form a matroid by theorem."""
         M = cls.__new__(cls)
-        M._set_ranks(n, ranks)
+        M._set(n, ranks, base_masks)
         return M
 
-    def _set_ranks(self, n: int, ranks: Sequence[int]) -> None:
+    def _set(self, n: int, ranks: Sequence[int], base_masks: Sequence[int]) -> None:
         self.n = n
         self._ranks = tuple(ranks)
         self.rank = self._ranks[-1]
-        self.base_masks = tuple(
-            m for m, r in enumerate(self._ranks) if r == self.rank == m.bit_count()
-        )
+        self.base_masks = tuple(base_masks)
 
     def subset_rank(self, mask: int) -> int:
         """Largest intersection of the subset with a base."""
@@ -84,48 +88,39 @@ class Matroid:
         """Rank table of the matroid rank function; its bases are the 0/1 indicators."""
         return Polymatroid._trusted(self.n, self._ranks)
 
-    # -- matroid-native structure (kept separate from the polymatroid view
-    #    so the two can be compared as independent routes) ----------------
+    # -- matroid-native structure, read from the base list alone so it is
+    #    an independent route next to the polymatroid view's rank table ---
 
-    def closure(self, mask: int) -> int:
-        base = self.subset_rank(mask)
-        out = mask
-        for t in range(1, self.n + 1):
-            b = bit(t)
-            if not mask & b and self.subset_rank(mask | b) == base:
-                out |= b
-        return out
+    def _fundamental_sets(self, pivot_in_base: bool) -> frozenset[int]:
+        """Fundamental cocircuits (pivot p in a base B) or circuits (p outside B).
+
+        Each is p plus every q across B with B ^ p ^ q a base; all of them arise so.
+        """
+        base_set = set(self.base_masks)
+        every = full_mask(self.n)
+        out = set()
+        for b in self.base_masks:
+            pivots, partners = (b, every ^ b) if pivot_in_base else (every ^ b, b)
+            partners = list(bits(partners))
+            for p in bits(pivots):
+                swapped = b ^ p
+                out.add(p | sum([q for q in partners if swapped ^ q in base_set]))
+        return frozenset(out)
 
     def hyperplanes(self) -> frozenset[int]:
-        """Flats of rank one less than the matroid rank."""
-        out = []
-        for m in iter_masks(self.n):
-            if self.subset_rank(m) == self.rank - 1 and self.closure(m) == m:
-                out.append(m)
-        return frozenset(out)
+        """Flats of rank one less than the matroid rank: the complements of the cocircuits."""
+        return frozenset(full_mask(self.n) ^ c for c in self._fundamental_sets(True))
 
     def hyperplane_sets(self) -> dict[int, frozenset[int]]:
         return by_size(self.hyperplanes(), self.n, lambda m: self.n - m.bit_count())
 
     def loop_mask(self) -> int:
-        """Elements of rank zero, as a mask."""
-        out = 0
-        for t in range(1, self.n + 1):
-            if self.subset_rank(bit(t)) == 0:
-                out |= bit(t)
-        return out
+        """Elements in no base, as a mask."""
+        return full_mask(self.n) & ~reduce(or_, self.base_masks)
 
     def circuits(self) -> frozenset[int]:
         """Minimal dependent subsets."""
-        out = []
-        for m in iter_masks(self.n):
-            if m == 0 or self.subset_rank(m) >= m.bit_count():
-                continue
-            if all(
-                self.subset_rank(m ^ low) == (m ^ low).bit_count() for low in bits(m)
-            ):
-                out.append(m)
-        return frozenset(out)
+        return self._fundamental_sets(False)
 
     def circuit_sets(self) -> dict[int, frozenset[int]]:
         return by_size(self.circuits(), self.n)

@@ -91,3 +91,24 @@ def connected_hypergraph_document(seed: int, edge_count: int) -> HypergraphDocum
         edges = tuple(tuple(sorted(rng.sample(names, rng.randint(2, 3)))) for _ in range(edge_count))
         if Hypergraph(names, edges).is_connected():
             return HypergraphDocument(names, edges)
+
+
+def seeded_multigraph(rng: random.Random, edge_count: int, vertices: tuple[int, int] = (3, 6)):
+    """A connected multigraph with at least one loop and one parallel pair.
+
+    The vertex count lies in the ``vertices`` range and below ``edge_count``.
+    """
+    vertex_count = rng.randint(vertices[0], min(vertices[1], edge_count - 1))
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, vertex_count + 1)]
+    loop_vertex = rng.randint(1, vertex_count)
+    edges += [rng.choice(edges), (loop_vertex, loop_vertex)]
+    while len(edges) < edge_count:
+        edges.append((rng.randint(1, vertex_count), rng.randint(1, vertex_count)))
+    rng.shuffle(edges)
+    return vertex_count, edges
+
+
+def seeded_multigraphs(seed: int = 20261018) -> list[Graph]:
+    """Two connected multigraphs for each edge count 6-12, each with a loop and a parallel pair."""
+    rng = random.Random(seed)
+    return [Graph(*seeded_multigraph(rng, m)) for m in range(6, 13) for _ in range(2)]

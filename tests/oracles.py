@@ -5,9 +5,9 @@ with deliberately different algorithms (plain product scans, DFS
 reachability, deletion-contraction) so tests compare two genuinely
 separate routes.  None of these functions import from the library
 beyond plain data (rank tables are consumed through their ``rank`` and
-``rank_of`` methods only; the hypertree listing reads a graph's
-spanning trees, which ``test_graphs`` checks against
-``brute_spanning_trees``).
+``rank_of`` methods or as rank lists indexed by mask; the hypertree
+listing reads a graph's spanning trees, which ``test_graphs`` checks
+against ``brute_spanning_trees``).
 """
 
 from __future__ import annotations
@@ -229,6 +229,48 @@ def dc_tutte(edges) -> dict[tuple[int, int], int]:
     for key, c in dc_tutte(merged).items():
         out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+# -- matroids --------------------------------------------------------------
+
+
+def closure_hyperplanes(n, ranks) -> frozenset[int]:
+    """Masks of rank r - 1 that equal their closure, by scanning every mask.
+
+    ``ranks`` is a rank list indexed by mask; the closure of a mask adds
+    every element that keeps its rank.
+    """
+    top = ranks[-1]
+    return frozenset(
+        m
+        for m in range(1 << n)
+        if ranks[m] == top - 1
+        and all(m >> t & 1 or ranks[m | 1 << t] > ranks[m] for t in range(n))
+    )
+
+
+def minimal_circuits(n, ranks) -> frozenset[int]:
+    """Dependent masks all of whose one-smaller subsets are independent."""
+
+    def independent(m):
+        return ranks[m] == bin(m).count("1")
+
+    return frozenset(
+        m
+        for m in range(1, 1 << n)
+        if not independent(m)
+        and all(independent(m & ~(1 << t)) for t in range(n) if m >> t & 1)
+    )
+
+
+def rank_zero_loops(n, ranks) -> int:
+    """Mask of the elements whose singleton has rank zero."""
+    return sum(1 << t for t in range(n) if ranks[1 << t] == 0)
+
+
+def full_rank_masks(ranks) -> tuple[int, ...]:
+    """Masks, ascending, whose rank is both the full rank and their size: the bases."""
+    return tuple(m for m, r in enumerate(ranks) if r == ranks[-1] == bin(m).count("1"))
 
 
 # -- hypergraphs -----------------------------------------------------------

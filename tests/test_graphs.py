@@ -20,12 +20,14 @@ from polymat.structure import rank_drop_thresholds
 from polymat.subsets import elements_of
 from polymat.verify import verify_graph
 
+from generators import seeded_multigraph, seeded_multigraphs
 from oracles import (
     brute_bonds,
     brute_girth,
     brute_spanning_trees,
     component_count,
     dc_tutte,
+    full_rank_masks,
 )
 
 
@@ -143,10 +145,20 @@ def test_cycle_matroid_bases_are_tree_masks():
         assert G.cycle_matroid().base_masks == G.spanning_tree_masks()
 
 
+def test_cycle_matroid_base_list_is_the_tree_listing():
+    # The full-rank, full-size masks of the rank table are the bases too.
+    for G in seeded_multigraphs():
+        M = G.cycle_matroid()
+        ranks = [M.subset_rank(m) for m in range(1 << G.edge_count)]
+        assert M.base_masks == G.spanning_tree_masks() == full_rank_masks(ranks), G.edges
+
+
 def test_cycle_matroid_matches_base_list_matroid():
-    # The graph tabulates union-find ranks; the base-list route runs the
-    # exchange check on the spanning trees and takes each rank as a max
-    # over them, so the two routes share no code.
+    # The graph tabulates component-count ranks; the base-list route runs
+    # the exchange check on the spanning trees and takes each rank as a
+    # max over them, so the two rank tables share no code.  Both take
+    # their bases from the tree listing, which the test above checks
+    # against the rank table.
     for G in cycle_matroid_graphs():
         M = G.cycle_matroid()
         trees = Matroid(G.edge_count, [elements_of(m) for m in G.spanning_tree_masks()])
@@ -264,7 +276,7 @@ def test_connectivity_matches_oracles_past_five_vertices(edge_count):
     # The random corpus above stops at five vertices; these multigraphs have
     # 6-9, each with a loop and a parallel pair.
     rng = random.Random(100 + edge_count)
-    vertex_count, edges = _seeded_multigraph(rng, edge_count, vertices=(6, 9))
+    vertex_count, edges = seeded_multigraph(rng, edge_count, vertices=(6, 9))
     G = Graph(vertex_count, edges)
     for mask in range(1 << edge_count):
         kept = [edges[i] for i in range(edge_count) if mask >> i & 1]
@@ -373,28 +385,13 @@ def test_loops_shift_tutte_and_nullity_together():
     assert report.passed
 
 
-def _seeded_multigraph(rng: random.Random, edge_count: int, vertices: tuple[int, int] = (3, 6)):
-    """A connected multigraph with at least one loop and one parallel pair.
-
-    The vertex count lies in the ``vertices`` range and below ``edge_count``.
-    """
-    vertex_count = rng.randint(vertices[0], min(vertices[1], edge_count - 1))
-    edges = [(rng.randint(1, v - 1), v) for v in range(2, vertex_count + 1)]
-    loop_vertex = rng.randint(1, vertex_count)
-    edges += [rng.choice(edges), (loop_vertex, loop_vertex)]
-    while len(edges) < edge_count:
-        edges.append((rng.randint(1, vertex_count), rng.randint(1, vertex_count)))
-    rng.shuffle(edges)
-    return vertex_count, edges
-
-
 @pytest.mark.parametrize("edge_count", range(6, 13))
 def test_graph_polynomials_match_networkx_tutte(edge_count):
     # networkx shares no code with polymat and handles loops and parallel edges.
     x, y = sympy.symbols("x y")
     rng = random.Random(edge_count)
     for _ in range(3):
-        vertex_count, edges = _seeded_multigraph(rng, edge_count)
+        vertex_count, edges = seeded_multigraph(rng, edge_count)
         multigraph = networkx.MultiGraph()
         multigraph.add_nodes_from(range(1, vertex_count + 1))
         multigraph.add_edges_from(edges)

@@ -149,6 +149,22 @@ def test_cyclomatic_number_matches_definition():
             assert H.cyclomatic_number(chosen) == edges - nodes + parts
 
 
+def test_cycle_table_matches_definition_on_six_to_ten_hyperedges():
+    # Incidence edges minus nodes plus components, from the brute component count.
+    rng = random.Random(31)
+    for edge_count in range(6, 11):
+        names = "abcdef"[: rng.randint(3, 6)]
+        H = Hypergraph(names, [rng.sample(names, rng.randint(1, 3)) for _ in range(edge_count)])
+        table = H._cycle_counts()
+        for chosen in range(1 << edge_count):
+            incidences = sum(
+                H.edge_masks[i].bit_count() for i in range(edge_count) if chosen >> i & 1
+            )
+            nodes = H.vertex_count + bin(chosen).count("1")
+            parts = brute_restricted_components(H.vertex_count, H.edge_masks, chosen)
+            assert table[chosen] == incidences - nodes + parts
+
+
 # -- hypertrees ---------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polymat import (
@@ -13,7 +15,14 @@ from polymat import (
     tutte_polynomial,
 )
 
-from oracles import dc_tutte
+from generators import seeded_multigraphs
+from oracles import (
+    closure_hyperplanes,
+    component_count,
+    dc_tutte,
+    minimal_circuits,
+    rank_zero_loops,
+)
 
 
 def u23() -> Matroid:
@@ -144,3 +153,45 @@ def test_nullity_threshold_loop_handling():
     assert M.nullity_threshold(2) == 2
     assert M.nullity_threshold(2, without_loops=True) is None
     assert check_matroid_polynomials(M).passed
+
+
+def uniform(r: int, n: int) -> tuple[Matroid, list[int]]:
+    """U(r, n) from its base list, with its rank list min(|m|, r) computed directly."""
+    bases = itertools.combinations(range(1, n + 1), r)
+    return Matroid(n, bases), [min(bin(m).count("1"), r) for m in range(1 << n)]
+
+
+def graph_case(G) -> tuple[Matroid, list[int]]:
+    """A cycle matroid with its rank list from DFS component counts."""
+    ranks = [
+        G.vertex_count
+        - component_count(G.vertex_count, [e for i, e in enumerate(G.edges) if m >> i & 1])
+        for m in range(1 << G.edge_count)
+    ]
+    return G.cycle_matroid(), ranks
+
+
+@pytest.mark.parametrize("family", ["graphs", "uniform", "rank-zero"])
+def test_base_list_families_match_rank_scans(family):
+    # The matroid reads its families off the base list; the oracles scan
+    # every mask of an independently computed rank list for closed sets of
+    # rank r - 1, minimal dependent sets and rank-zero singletons.
+    cases = {
+        "graphs": lambda: [graph_case(G) for G in seeded_multigraphs()],
+        "uniform": lambda: [uniform(r, n) for n in range(6, 11) for r in (1, n // 2, n - 1)],
+        "rank-zero": lambda: [(Matroid(2, [()]), [0, 0, 0, 0])],
+    }[family]()
+    for M, ranks in cases:
+        assert M.hyperplanes() == closure_hyperplanes(M.n, ranks), M
+        assert M.circuits() == minimal_circuits(M.n, ranks), M
+        assert M.loop_mask() == rank_zero_loops(M.n, ranks), M
+
+
+def test_bridges_catch_a_base_list_that_disagrees_with_the_ranks():
+    # U(2, 4)'s rank table with the base {1, 2} left out of the base list:
+    # the native families come from the list alone, so both bridges fail.
+    _, ranks = uniform(2, 4)
+    bases = [m for m in range(16) if bin(m).count("1") == 2 and m != 0b0011]
+    report = check_matroid_polynomials(Matroid._trusted(4, ranks, bases))
+    assert not report.hyperplane_bridge
+    assert not report.circuit_bridge
