@@ -11,6 +11,8 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from .core import Polymatroid, _once, _split
@@ -83,7 +85,8 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     the recursion then runs on plain value tuples and adds plain coefficient
     lists, and one ``Polynomial`` is built at the root.  Slices often share a rank
     table, so each table, pivoting on the top element, is expanded once per
-    call; nothing is kept between calls.
+    call; nothing is kept between calls.  By submodularity the lowest pin's
+    slice is the deletion f(I) itself, so only the pins above it take the min.
     """
     if element is None:
         element = P.n
@@ -96,9 +99,13 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
             half = len(values) // 2
             if half > 1:
                 without, within = values[:half], values[half:]  # f(I), f(I + top)
-                total = list(expand(tuple(v - within[0] for v in within)))
-                for j in range(values[-1] - without[-1], within[0]):
-                    child = expand(tuple(map(min, without, [v - j for v in within])))
+                lowest = values[-1] - without[-1]
+                total = list(expand(tuple(map(sub, within, repeat(within[0])))))
+                for j in range(lowest, within[0]):
+                    child = expand(
+                        without if j == lowest
+                        else tuple(map(min, without, map(sub, within, repeat(j))))
+                    )
                     total += [0] * (len(child) + 1 - len(total))
                     for k, c in enumerate(child, 1):  # y * child
                         total[k] += c

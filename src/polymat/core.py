@@ -14,6 +14,8 @@ and the frontends' rank functions are valid by theorem and skip the check.
 from __future__ import annotations
 
 from functools import wraps
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -272,7 +274,10 @@ class Polymatroid:
         Pins the lowest element to each j from f(E) - f(E - 1) to f({1}) and
         recurses on that slice, whose table min(f(I), f(I + 1) - j) over the
         other elements (the theorem behind ``slice_at``) is half the size.
-        Every slice in range is nonempty, so every leaf is a basis.
+        Every slice in range is nonempty, so every leaf is a basis.  By
+        submodularity the lowest pin's slice is the deletion f(I) and the
+        highest pin's is the contraction f(I + 1) - f({1}), so only the pins
+        between them take the min.
 
         Many prefixes reach the same slice, so the slices form a DAG: each
         distinct table is one node holding its (j, child) edges, and a
@@ -285,12 +290,17 @@ class Polymatroid:
 
         def node(vals: tuple[int, ...]) -> int:
             if vals not in node_of:
-                low, high = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
-                pins = range(vals[-1] - vals[-2], vals[1] + 1)
-                edges.append(
-                    [(j, node(tuple(map(min, low, [v - j for v in high])))) for j in pins]
-                    if len(vals) > 2 else [(vals[1], None)]
-                )
+                if len(vals) > 2:
+                    without, within = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
+                    lowest, top = vals[-1] - vals[-2], within[0]
+                    slices = [without]
+                    slices += [tuple(map(min, without, map(sub, within, repeat(j))))
+                               for j in range(lowest + 1, top)]
+                    if top > lowest:
+                        slices.append(tuple(map(sub, within, repeat(top))))
+                    edges.append([(j, node(vs)) for j, vs in enumerate(slices, lowest)])
+                else:
+                    edges.append([(vals[1], None)])
                 node_of[vals] = len(edges) - 1
             return node_of[vals]
 

@@ -2,12 +2,16 @@
 
 Edges keep their input order; edge i of the graph is element i of the
 cycle matroid, so the activity order on the matroid side is the edge
-numbering.  Every edge is also kept as the mask of its endpoints, and
-one helper, ``_components``, counts components by merging those vertex
-masks; graph ranks, connectivity and the incidence rank of hypergraphs
-all go through it.  Bonds (minimal edge cuts) are found once per graph
-by scanning vertex bipartitions with connected sides, which
-characterizes them in a connected graph.
+numbering.  Every edge is also kept as the mask of its endpoints.  Two
+helpers count components from those vertex masks, each shared with
+hypergraphs: ``_component_table`` tabulates every edge subset in one
+subset walk that merges vertex labels, and gives the cycle-matroid ranks
+and the hypergraph component table; ``_components`` answers one subset
+by merging vertex masks, for connectivity, single ranks and the bond
+scan.  Bonds (minimal edge cuts) are found once per graph by scanning
+vertex bipartitions with connected sides, which characterizes them in a
+connected graph, so they share no code with the rank table that
+``verify`` compares them with.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .core import _once
 from .matroids import Matroid, tutte_polynomial
 from .polynomials import Polynomial
 from .structure import _binomial_formula, rank_drop_thresholds
+from .subsets import bits
 
 
 def _components(vertex_mask: int, edge_vertex_masks: Sequence[int], chosen: int) -> int:
@@ -47,6 +52,40 @@ def _components(vertex_mask: int, edge_vertex_masks: Sequence[int], chosen: int)
         apart.append(merged)
         blocks = apart
     return len(blocks) + (vertex_mask & ~covered).bit_count()
+
+
+def _component_table(vertex_count: int, edge_vertex_masks: Sequence[int]) -> tuple[int, ...]:
+    """Components of all vertex_count vertices joined by each edge subset, indexed by edge mask.
+
+    Walks the subsets depth first, adding only edges above the highest
+    one chosen, as ``Graph.spanning_tree_masks`` does, and carries a
+    label string: character w names vertex w's component.  An edge
+    merges the labels of the vertices it meets, and each ``str.replace``
+    of a different label joins two components.  A loop or a one-vertex
+    hyperedge merges nothing.
+    """
+    m = len(edge_vertex_masks)
+    members = []
+    for e in edge_vertex_masks:
+        first, *rest = [low.bit_length() - 1 for low in bits(e)]
+        members.append((first, rest))
+    table = [0] * (1 << m)
+
+    def extend(chosen: int, start: int, labels: str, count: int) -> None:
+        table[chosen] = count
+        for k in range(start, m):
+            first, rest = members[k]
+            a = labels[first]
+            joined, c = labels, count
+            for w in rest:
+                b = joined[w]
+                if b != a:
+                    joined = joined.replace(b, a)
+                    c -= 1
+            extend(chosen | 1 << k, k + 1, joined, c)
+
+    extend(0, 0, "".join(map(chr, range(vertex_count))), vertex_count)
+    return tuple(table)
 
 
 class Graph:
@@ -112,13 +151,15 @@ class Graph:
 
     @_once
     def cycle_matroid(self) -> Matroid:
-        """Tree-listing bases and ``subset_rank`` ranks, valid by theorem; needs connectivity."""
-        if not self.is_connected():
+        """Tree-listing bases and component-table ranks, valid by theorem; needs connectivity."""
+        trees = self.spanning_tree_masks()  # empty when disconnected
+        if not trees:
             raise ValueError("cycle matroid requires a connected graph")
         if self.vertex_count == 1:
             raise ValueError("cycle matroid needs at least one edge in its bases")
-        ranks = [self.subset_rank(m) for m in range(1 << self.edge_count)]
-        return Matroid._trusted(self.edge_count, ranks, self.spanning_tree_masks())
+        n = self.vertex_count
+        ranks = [n - c for c in _component_table(n, self._edge_masks())]
+        return Matroid._trusted(self.edge_count, ranks, trees)
 
     @_once
     def bonds(self) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Polymatroid, _once
-from .graphs import Graph, _components
+from .graphs import Graph, _component_table, _components
 from .structure import (
     binom,
     binomial_prefix_check,
@@ -102,8 +102,7 @@ class Hypergraph:
     @_once
     def _component_counts(self) -> tuple[int, ...]:
         """``restricted_components`` of every hyperedge subset by mask; once per hypergraph."""
-        every = full_mask(self.vertex_count)
-        return tuple(_components(every, self.edge_masks, m) for m in iter_masks(self.edge_count))
+        return _component_table(self.vertex_count, self.edge_masks)
 
     @_once
     def to_polymatroid(self) -> Polymatroid:

@@ -13,6 +13,7 @@ shared by every check that reads it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -202,18 +203,18 @@ class TuttePolynomial:
 def tutte_polynomial(M: Matroid) -> TuttePolynomial:
     """Corank-nullity expansion over the 2^n subsets of the rank table; once per matroid.
 
-    Reads the table the matroid already holds, so it needs no size
-    guard of its own: the input's size guard bounds both.
+    The subsets are counted by (corank, nullity) pair first, and each
+    distinct pair's term (x - 1)^corank (y - 1)^nullity is expanded once,
+    times its count.  Reads the table the matroid already holds, so it
+    needs no size guard of its own: the input's size guard bounds both.
     """
     d = M.rank
     width = M.n - d
+    pairs = Counter((d - r, m.bit_count() - r) for m, r in enumerate(M._ranks))
     grid = [[0] * (width + 1) for _ in range(d + 1)]
-    for m in iter_masks(M.n):
-        r = M.subset_rank(m)
-        a = d - r
-        b = m.bit_count() - r
+    for (a, b), count in pairs.items():
         for k in range(a + 1):
-            ca = comb(a, k) * (-1) ** (a - k)
+            ca = count * comb(a, k) * (-1) ** (a - k)
             for l in range(b + 1):
                 grid[k][l] += ca * comb(b, l) * (-1) ** (b - l)
     return TuttePolynomial(tuple(tuple(row) for row in grid))

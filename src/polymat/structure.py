@@ -71,9 +71,20 @@ def flats(P: Polymatroid) -> tuple[int, ...]:
 
 @_once
 def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
-    """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object."""
+    """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object.
+
+    A mask of rank r - 1 is such a flat when adding any missing element
+    raises its rank; f(m + t) is r - 1 or r, so the test stops at the
+    first element that keeps the rank.
+    """
     target = P.full_rank - 1
-    found = (m for m in iter_masks(P.n) if P.rank(m) == target and is_flat(P, m))
+    values = P.table.values
+    full = full_mask(P.n)
+    found = (
+        m
+        for m, v in enumerate(values)
+        if v == target and all(values[m | b] > target for b in bits(full ^ m))
+    )
     return MappingProxyType(by_size(found, P.n, lambda m: P.n - m.bit_count()))
 
 

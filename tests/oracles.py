@@ -13,6 +13,7 @@ against ``brute_spanning_trees``).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 
@@ -232,6 +233,26 @@ def dc_tutte(edges) -> dict[tuple[int, int], int]:
 
 
 # -- matroids --------------------------------------------------------------
+
+
+def per_mask_tutte(M) -> tuple[tuple[int, ...], ...]:
+    """Tutte grid of a matroid by the corank-nullity expansion, one mask at a time.
+
+    Every mask's term (x - 1)^corank (y - 1)^nullity is expanded on its
+    own; ranks are read through ``M.subset_rank``.
+    """
+    d = M.rank
+    width = M.n - d
+    grid = [[0] * (width + 1) for _ in range(d + 1)]
+    for m in range(1 << M.n):
+        r = M.subset_rank(m)
+        a = d - r
+        b = bin(m).count("1") - r
+        for k in range(a + 1):
+            ca = math.comb(a, k) * (-1) ** (a - k)
+            for l in range(b + 1):
+                grid[k][l] += ca * math.comb(b, l) * (-1) ** (b - l)
+    return tuple(tuple(row) for row in grid)
 
 
 def closure_hyperplanes(n, ranks) -> frozenset[int]:

@@ -93,6 +93,14 @@ def test_bases_match_leaf_checked_search(table):
     assert all(a < b for a, b in zip(bases, bases[1:]))
 
 
+@pytest.mark.parametrize("params", [(6, 6, 3, 2), (7, 7, 2, 3), (8, 8, 2, 4)])
+def test_bases_of_coverage_tables_match_brute_force(params):
+    # Coverage ranks have many pins per element, so the deletion, middle
+    # and contraction slices all occur in the walk.
+    table = coverage_table(*params)
+    assert set(Polymatroid(table).bases()) == brute_bases(table)
+
+
 def test_bases_at_n12_match_slice_recursion():
     # Past the oracles' reach: the count is frozen, and the slice recursion,
     # which never calls bases(), gives the same polynomials.
@@ -172,8 +180,9 @@ def test_delete_and_contract_ranks(example5):
     assert C.rank_of((4,)) == example5.rank_of((4, 5)) - example5.rank_of((4,))
 
 
-def test_slice_endpoints_are_delete_and_contract(small_corpus):
-    for P in small_corpus:
+def test_slice_endpoints_are_delete_and_contract(small_corpus, wide_instances):
+    # Both slice walks rely on this theorem to read the lowest pin as the deletion.
+    for P in small_corpus + wide_instances:
         if P.n == 1:
             continue
         for t in range(1, P.n + 1):

@@ -13,7 +13,7 @@ from polymat.activity import polynomial_pair
 from polymat.core import Polymatroid, RankTable
 from polymat.graphs import Graph, cut_formula_check
 from polymat.hypergraphs import Hypergraph
-from polymat import matroids
+from polymat import graphs, matroids
 from polymat.matroids import Matroid, TuttePolynomial, tutte_polynomial
 from polymat.polynomials import Polynomial
 from polymat.structure import rank_drop_thresholds
@@ -199,6 +199,31 @@ def test_cycle_matroid_requires_connected_graph_with_edges():
 def test_cycle_matroid_is_built_once():
     G = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
     assert G.cycle_matroid() is G.cycle_matroid()
+
+
+@pytest.mark.parametrize("edge_count", range(12, 17))
+def test_cycle_matroid_ranks_match_subset_rank_at_12_to_16_edges(edge_count):
+    # The rank table comes from one subset walk over label strings;
+    # subset_rank merges the vertex masks of one subset's edges.
+    rng = random.Random(edge_count)
+    G = Graph(*seeded_multigraph(rng, edge_count, vertices=(3, 8)))
+    masks = range(1 << edge_count)
+    M = G.cycle_matroid()
+    assert [M.subset_rank(m) for m in masks] == [G.subset_rank(m) for m in masks], G.edges
+
+
+def test_cycle_matroid_counts_components_once_on_k6(monkeypatch):
+    # Only the connectivity check goes through _components; the ranks do not.
+    calls = []
+    count = graphs._components
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(graphs, "_components", counted)
+    Graph(6, list(itertools.combinations(range(1, 7), 2))).cycle_matroid()
+    assert len(calls) <= 1
 
 
 # -- bonds and edge connectivity --------------------------------------------

@@ -119,6 +119,22 @@ def test_restricted_components_match_oracle_on_six_to_ten_hyperedges():
             )
 
 
+def test_component_table_matches_oracle_on_six_to_twelve_hyperedges():
+    # The table is one subset walk merging label strings; the oracle runs
+    # a DFS on the incidence graph of each subset.
+    rng = random.Random(23)
+    for edge_count in range(6, 13):
+        names = "abcdefg"[: rng.randint(3, 7)]
+        edges = [rng.sample(names, rng.randint(1, 3)) for _ in range(edge_count - 2)]
+        edges += [[rng.choice(names)], rng.choice(edges)]  # a one-vertex hyperedge and a repeat
+        rng.shuffle(edges)
+        H = Hypergraph(names, edges)
+        assert H._component_counts() == tuple(
+            brute_restricted_components(H.vertex_count, H.edge_masks, chosen)
+            for chosen in range(1 << edge_count)
+        ), edges
+
+
 def test_uncovered_vertices_count_as_components():
     H = Hypergraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert H.restricted_components(0b01) == 2  # {a,b} joined, c alone

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from polymat import (
     BaseExchangeError,
+    Graph,
     Matroid,
     check_matroid_polynomials,
     circuit_sets,
@@ -15,12 +17,13 @@ from polymat import (
     tutte_polynomial,
 )
 
-from generators import seeded_multigraphs
+from generators import seeded_multigraph, seeded_multigraphs
 from oracles import (
     closure_hyperplanes,
     component_count,
     dc_tutte,
     minimal_circuits,
+    per_mask_tutte,
     rank_zero_loops,
 )
 
@@ -101,6 +104,30 @@ def test_tutte_matches_deletion_contraction():
             if c
         }
         assert got == expected
+
+
+def _graphs_with_a_bridge(edge_counts):
+    # Each multigraph has a loop and a parallel pair; a pendant vertex adds a bridge.
+    rng = random.Random(53)
+    for edge_count in edge_counts:
+        vertex_count, edges = seeded_multigraph(rng, edge_count - 1)
+        edges.insert(rng.randint(0, len(edges)), (rng.randint(1, vertex_count), vertex_count + 1))
+        yield Graph(vertex_count + 1, edges)
+
+
+def test_pair_counted_tutte_matches_per_mask_expansion():
+    # The oracle counts (corank, nullity) pairs before expanding them;
+    # the reference expands every mask's term on its own.
+    for G in _graphs_with_a_bridge(range(6, 15)):
+        M = G.cycle_matroid()
+        assert tutte_polynomial(M).grid == per_mask_tutte(M), G.edges
+
+
+def test_pair_counted_tutte_matches_deletion_contraction_past_eight_edges():
+    for G in _graphs_with_a_bridge((8, 9, 10)):
+        grid = tutte_polynomial(G.cycle_matroid()).grid
+        got = {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c}
+        assert got == dc_tutte(list(G.edges)), G.edges
 
 
 def test_reversal_specializations():
