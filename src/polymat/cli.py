@@ -27,6 +27,7 @@ from .documents import (
     InputDocument,
     MatroidDocument,
     RankTableDocument,
+    _subset_text,
     parse_document,
 )
 from .graphs import Graph
@@ -89,34 +90,29 @@ def _size_cap(args, default: int, size: int, what: str) -> None:
         )
 
 
-def _build_object(doc: InputDocument, args):
-    """Construct the frontend object named by the document, behind size guards."""
+def _build_object(doc: InputDocument, args) -> tuple[object, Polymatroid]:
+    """The frontend object named by the document and its polymatroid, behind size guards.
+
+    Graphs and hypergraphs raise here when disconnected.
+    """
     if isinstance(doc, RankTableDocument):
         _size_cap(args, DEFAULT_MAX_GROUND_SET, doc.n, "ground-set size")
-        # The parser checked range, duplicates and totality, and sorted the entries by mask.
-        return Polymatroid(RankTable(doc.n, [v for _, v in doc.entries], max_n=doc.n))
+        # The parser checked range, duplicates and totality, and listed the entries in mask order.
+        P = Polymatroid(RankTable(doc.n, [v for _, v in doc.entries], max_n=doc.n))
+        return P, P
     if isinstance(doc, GraphDocument):
         _size_cap(args, DEFAULT_MAX_ELEMENTS, len(doc.edges), "edge count")
-        return Graph(doc.vertex_count, doc.edges)
+        G = Graph(doc.vertex_count, doc.edges)
+        return G, G.cycle_matroid().to_polymatroid()
     if isinstance(doc, MatroidDocument):
         _size_cap(args, DEFAULT_MAX_ELEMENTS, doc.n, "ground-set size")
-        return Matroid(doc.n, doc.bases)
+        M = Matroid(doc.n, doc.bases)
+        return M, M.to_polymatroid()
     if isinstance(doc, HypergraphDocument):
         _size_cap(args, DEFAULT_MAX_GROUND_SET, len(doc.hyperedges), "hyperedge count")
-        return Hypergraph(doc.vertices, doc.hyperedges)
+        H = Hypergraph(doc.vertices, doc.hyperedges)
+        return H, H.to_polymatroid()
     raise TypeError(f"unhandled document {doc!r}")
-
-
-def _as_polymatroid(obj) -> Polymatroid:
-    if isinstance(obj, Polymatroid):
-        return obj
-    if isinstance(obj, Matroid):
-        return obj.to_polymatroid()
-    if isinstance(obj, Graph):
-        return obj.cycle_matroid().to_polymatroid()
-    if isinstance(obj, Hypergraph):
-        return obj.to_polymatroid()
-    raise TypeError(f"unhandled input object {obj!r}")
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -130,11 +126,6 @@ def _subset_lists(masks) -> list[list[int]]:
     return sorted((list(elements_of(m)) for m in masks), key=lambda s: (len(s), s))
 
 
-def _subset_text(mask: int) -> str:
-    els = elements_of(mask)
-    return ",".join(map(str, els)) if els else "empty"
-
-
 def _family_payload(groups: dict[int, frozenset[int]]) -> dict[str, list[list[int]]]:
     return {str(j): _subset_lists(s) for j, s in groups.items() if s}
 
@@ -146,9 +137,8 @@ def _poly_payload(poly: Polynomial) -> dict:
 # -- commands -----------------------------------------------------------
 
 
-def _cmd_validate(doc, obj, args) -> int:
+def _cmd_validate(doc, obj, P, args) -> int:
     """parse the document and check its defining axioms"""
-    P = _as_polymatroid(obj)
     lines = [f"valid {doc.kind}"]
     payload = {"command": "validate", "kind": doc.kind, "valid": True}
     if isinstance(obj, Graph):
@@ -170,9 +160,8 @@ def _cmd_validate(doc, obj, args) -> int:
     return 0
 
 
-def _cmd_bases(doc, obj, args) -> int:
+def _cmd_bases(doc, obj, P, args) -> int:
     """list every basis vector"""
-    P = _as_polymatroid(obj)
     bases = P.bases()
     lines = [f"bases {len(bases)}"]
     payload = {"command": "bases", "kind": doc.kind, "count": len(bases)}
@@ -203,9 +192,8 @@ def _compute_polynomials(P: Polymatroid, args) -> dict[str, Polynomial]:
     return out
 
 
-def _cmd_poly(doc, obj, args) -> int:
+def _cmd_poly(doc, obj, P, args) -> int:
     """compute the interior and/or exterior polynomial"""
-    P = _as_polymatroid(obj)
     polys = _compute_polynomials(P, args)
     lines = []
     payload = {"command": "poly", "kind": doc.kind, "method": args.method}
@@ -220,9 +208,8 @@ def _cmd_poly(doc, obj, args) -> int:
     return 0
 
 
-def _cmd_structure(doc, obj, args) -> int:
+def _cmd_structure(doc, obj, P, args) -> int:
     """report flats, set families, and thresholds"""
-    P = _as_polymatroid(obj)
     summary = structure_summary(P)
     lines = [
         f"ground-set {P.n}",
@@ -234,17 +221,15 @@ def _cmd_structure(doc, obj, args) -> int:
         + " ".join(f"{k}:{v}" for k, v in sorted(summary.deficiency.items())),
         f"flats {len(summary.flats)}",
     ]
-    lines.extend(f"flat {_subset_text(m)}" for m in summary.flats)
-    for j in sorted(summary.hyperplanes):
-        group = summary.hyperplanes[j]
-        if group:
-            members = " ".join(_subset_text(m) for m in sorted(group))
-            lines.append(f"hyperplanes complement-size {j} count {len(group)}: {members}")
-    for j in sorted(summary.circuits):
-        group = summary.circuits[j]
-        if group:
-            members = " ".join(_subset_text(m) for m in sorted(group))
-            lines.append(f"circuits size {j} count {len(group)}: {members}")
+    lines.extend(f"flat {_subset_text(elements_of(m))}" for m in summary.flats)
+    for label, groups in (
+        ("hyperplanes complement-size", summary.hyperplanes),
+        ("circuits size", summary.circuits),
+    ):
+        for j in sorted(groups):
+            if groups[j]:
+                members = " ".join(_subset_text(elements_of(m)) for m in sorted(groups[j]))
+                lines.append(f"{label} {j} count {len(groups[j])}: {members}")
     payload = {
         "command": "structure",
         "kind": doc.kind,
@@ -279,9 +264,8 @@ def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
     return rows
 
 
-def _cmd_coeffs(doc, obj, args) -> int:
+def _cmd_coeffs(doc, obj, P, args) -> int:
     """compare closed-form coefficients against enumeration"""
-    P = _as_polymatroid(obj)
     interior, exterior = polynomial_pair(P)
     sections = []
     if args.kind in ("interior", "both"):
@@ -314,7 +298,7 @@ def _cmd_coeffs(doc, obj, args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify(doc, obj, args) -> int:
+def _cmd_verify(doc, obj, P, args) -> int:
     """run the full identity suite for the input"""
     if isinstance(obj, Graph):
         checks = verify_graph(obj)
@@ -323,7 +307,7 @@ def _cmd_verify(doc, obj, args) -> int:
     elif isinstance(obj, Hypergraph):
         checks = verify_hypergraph(obj)
     else:
-        checks = verify_polymatroid(obj)
+        checks = verify_polymatroid(P)
     lines = []
     for check in checks:
         if check.passed:
@@ -352,15 +336,15 @@ _COMMANDS = {
     "coeffs": _cmd_coeffs,
     "verify": _cmd_verify,
 }
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        text = _read_input(args.file)
-        doc = parse_document(text)
-        obj = _build_object(doc, args)
-        return _COMMANDS[args.command](doc, obj, args)
+        doc = parse_document(_read_input(args.file))
+        obj, P = _build_object(doc, args)
+        return _COMMANDS[args.command](doc, obj, P, args)
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2

@@ -326,6 +326,11 @@ class Polymatroid:
             values[(1 << t) - 1] - values[(1 << (t - 1)) - 1] for t in range(1, self.n + 1)
         )
 
+    @_once
+    def _singleton_sums(self) -> tuple[int, ...]:
+        """Sum of the singleton ranks over every mask, indexed by mask; once per object."""
+        return tuple(subset_sums(self.coord_max))
+
     # -- derived polymatroids -------------------------------------------
 
     @_once
@@ -333,7 +338,7 @@ class Polymatroid:
         """Rank table f*(I) = f([n] \\ I) - f([n]) + sum of singleton ranks over I."""
         n = self.n
         values = self.table.values
-        singles = subset_sums(self.coord_max)
+        singles = self._singleton_sums()
         dual_values = [
             values[complement(m, n)] - self.full_rank + singles[m] for m in iter_masks(n)
         ]

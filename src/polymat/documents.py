@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import ClassVar, Union
 
-from .subsets import elements_of, mask_of
+from .subsets import elements_of
 
 
 class ParseError(ValueError):
@@ -87,18 +87,22 @@ def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
         raise ParseError(lineno, column, f"expected an integer {what}, got {token!r}") from None
 
 
-def _parse_subset(token: str, lineno: int, column: int) -> tuple[int, ...]:
+def _parse_subset(token: str, lineno: int, column: int, n: int) -> tuple[int, ...]:
+    """Ascending elements of a comma list or ``empty``: distinct, then each in 1..n."""
     if token == "empty":
         return ()
-    parts = token.split(",")
     out = []
-    for part in parts:
+    for part in token.split(","):
         if not part:
             raise ParseError(lineno, column, f"malformed subset {token!r}")
         out.append(_parse_int(part, lineno, column, "element"))
     if len(set(out)) != len(out):
         raise ParseError(lineno, column, f"repeated element in subset {token!r}")
-    return tuple(sorted(out))
+    out.sort()
+    for e in out:
+        if not 1 <= e <= n:
+            raise ParseError(lineno, column, f"element {e} outside ground set 1..{n}")
+    return tuple(out)
 
 
 def parse_document(text: str) -> InputDocument:
@@ -130,25 +134,28 @@ def _expect_header(body, name: str, after_line: int):
     return body[0]
 
 
-def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
-    lineno, tokens, columns = _expect_header(body, "n", kind_line)
+def _parse_count(body, kind_line: int, header: str, noun: str, what: str) -> int:
+    """The positive integer of a '<header> <count>' line, the first after the kind line."""
+    lineno, tokens, columns = _expect_header(body, header, kind_line)
     if len(tokens) != 2:
-        raise ParseError(lineno, columns[0], "'n' takes exactly one value")
-    n = _parse_int(tokens[1], lineno, columns[1], "ground-set size")
-    if n < 1:
-        raise ParseError(lineno, columns[1], "ground-set size must be positive")
+        raise ParseError(lineno, columns[0], f"'{header}' takes exactly one {noun}")
+    value = _parse_int(tokens[1], lineno, columns[1], what)
+    if value < 1:
+        raise ParseError(lineno, columns[1], f"{what} must be positive")
+    return value
+
+
+def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
+    n = _parse_count(body, kind_line, "n", "value", "ground-set size")
     seen: dict[tuple[int, ...], int] = {}
-    last_line = lineno
+    last_line = body[0][0]
     for lineno, tokens, columns in body[1:]:
         last_line = lineno
         if tokens[0] != "rank":
             raise ParseError(lineno, columns[0], f"expected 'rank', got {tokens[0]!r}")
         if len(tokens) != 3:
             raise ParseError(lineno, columns[0], "'rank' lines need a subset and a value")
-        subset = _parse_subset(tokens[1], lineno, columns[1])
-        for e in subset:
-            if not 1 <= e <= n:
-                raise ParseError(lineno, columns[1], f"element {e} outside ground set 1..{n}")
+        subset = _parse_subset(tokens[1], lineno, columns[1], n)
         if subset in seen:
             raise ParseError(lineno, columns[1], f"duplicate rank entry for {tokens[1]!r}")
         seen[subset] = _parse_int(tokens[2], lineno, columns[2], "rank value")
@@ -158,17 +165,12 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
         raise ParseError(
             last_line, 1, f"rank table is not total: missing subset {_subset_text(missing)}"
         )
-    entries = sorted(seen.items(), key=lambda kv: mask_of(kv[0], n))
-    return RankTableDocument(n, tuple(entries))
+    entries = tuple((subset, seen[subset]) for subset in map(elements_of, range(1 << n)))
+    return RankTableDocument(n, entries)
 
 
 def _parse_graph(body, kind_line: int) -> GraphDocument:
-    lineno, tokens, columns = _expect_header(body, "vertices", kind_line)
-    if len(tokens) != 2:
-        raise ParseError(lineno, columns[0], "'vertices' takes exactly one count")
-    nv = _parse_int(tokens[1], lineno, columns[1], "vertex count")
-    if nv < 1:
-        raise ParseError(lineno, columns[1], "vertex count must be positive")
+    nv = _parse_count(body, kind_line, "vertices", "count", "vertex count")
     edges = []
     for lineno, tokens, columns in body[1:]:
         if tokens[0] != "edge":
@@ -185,23 +187,14 @@ def _parse_graph(body, kind_line: int) -> GraphDocument:
 
 
 def _parse_matroid(body, kind_line: int) -> MatroidDocument:
-    lineno, tokens, columns = _expect_header(body, "n", kind_line)
-    if len(tokens) != 2:
-        raise ParseError(lineno, columns[0], "'n' takes exactly one value")
-    n = _parse_int(tokens[1], lineno, columns[1], "ground-set size")
-    if n < 1:
-        raise ParseError(lineno, columns[1], "ground-set size must be positive")
+    n = _parse_count(body, kind_line, "n", "value", "ground-set size")
     bases = set()
     for lineno, tokens, columns in body[1:]:
         if tokens[0] != "base":
             raise ParseError(lineno, columns[0], f"expected 'base', got {tokens[0]!r}")
         if len(tokens) != 2:
             raise ParseError(lineno, columns[0], "'base' lines take one subset")
-        subset = _parse_subset(tokens[1], lineno, columns[1])
-        for e in subset:
-            if not 1 <= e <= n:
-                raise ParseError(lineno, columns[1], f"element {e} outside ground set 1..{n}")
-        bases.add(subset)
+        bases.add(_parse_subset(tokens[1], lineno, columns[1], n))
     if not bases:
         raise ParseError(kind_line, 1, "a matroid document needs at least one base")
     return MatroidDocument(n, tuple(sorted(bases)))

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .activity import polynomial_pair
 from .core import Polymatroid, _once
-from .subsets import bit, bits, by_size, complement, elements_of, full_mask, iter_masks, subset_sums
+from .subsets import bit, bits, by_size, complement, elements_of, full_mask, iter_masks
 
 
 def binom(a: int, b: int) -> int:
@@ -61,7 +61,12 @@ def closure(P: Polymatroid, mask: int) -> int:
 
 
 def is_flat(P: Polymatroid, mask: int) -> bool:
-    return closure(P, mask) == mask
+    """``closure(P, mask) == mask``: adding any missing element raises the rank.
+
+    The test stops at the first element that keeps the rank.
+    """
+    base = P.rank(mask)
+    return all(P.rank(mask | b) > base for b in bits(full_mask(P.n) ^ mask))
 
 
 def flats(P: Polymatroid) -> tuple[int, ...]:
@@ -102,7 +107,7 @@ def full_deficiency(P: Polymatroid) -> int:
 
 def circuit_family(P: Polymatroid) -> frozenset[int]:
     """Subsets of deficiency exactly 1 all of whose proper subsets are tight."""
-    sums = subset_sums(P.coord_max)
+    sums = P._singleton_sums()
     values = P.table.values
     return frozenset(
         m
@@ -134,7 +139,7 @@ def rank_drop_thresholds(P: Polymatroid) -> Mapping[int, int]:
 @_once
 def deficiency_thresholds(P: Polymatroid) -> Mapping[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency); once per object."""
-    sums = subset_sums(P.coord_max)
+    sums = P._singleton_sums()
     levels = ((s - v, m.bit_count()) for m, (s, v) in enumerate(zip(sums, P.table.values)))
     return _threshold_scan(levels, full_deficiency(P), P.n)
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -343,6 +346,24 @@ def test_help_lists_every_command(capsys):
     for name in names:
         assert f"\n  {name:<10} {cli._COMMANDS[name].__doc__}\n" in out
     assert "validate   parse the document and check its defining axioms" in out
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, polymat.cli; sys.exit(polymat.cli.main())", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reuse_carries_nothing_between_calls(capsys, table_file):
+    # One parser serves every call in a process; no option outlives its call.
+    assert run(capsys, ["validate", "--max-n", "17", table_file])[2].count("warning") == 1
+    assert run(capsys, ["validate", table_file])[2] == ""
+    for options in (["--machine"], ["--kind", "interior"]):
+        run(capsys, ["poly", *options, table_file])
+        assert run(capsys, ["poly", table_file]) == _fresh_process(["poly", table_file])
 
 
 @pytest.mark.parametrize(

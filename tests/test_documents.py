@@ -188,6 +188,33 @@ def test_rank_table_missing_subset_found_without_building_two_to_the_n():
     assert peak < 1 << 20
 
 
+def test_huge_elements_parse_without_building_their_masks():
+    # Subsets stay element tuples: bit 999999999 would be a 125 MB integer.
+    tracemalloc.start()
+    try:
+        expect_error("kind rank-table\nn 1000000000\nrank 999999999 1\n", 3, "missing subset empty")
+        doc = parse_document("kind matroid\nn 1000000000\nbase 999999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == MatroidDocument(10**9, ((999999999,),))
+    assert peak < 1 << 20
+
+
+def test_count_headers():
+    expect_error("kind matroid\nn 0\n", 2, "ground-set size must be positive", column=3)
+    expect_error("kind matroid\nn x\n", 2, "expected an integer ground-set size", column=3)
+    expect_error("kind matroid\nn 1 2\n", 2, "'n' takes exactly one value", column=1)
+    expect_error("kind graph\nvertices x\n", 2, "expected an integer vertex count", column=10)
+    expect_error("kind graph\nvertices 1 2\n", 2, "'vertices' takes exactly one count", column=1)
+
+
+def test_matroid_subset_errors():
+    expect_error("kind matroid\nn 3\nbase 1,,2\n", 3, "malformed subset", column=6)
+    expect_error("kind matroid\nn 3\nbase 2,2\n", 3, "repeated element", column=6)
+    expect_error("kind matroid\nn 2\nbase 3\n", 3, "element 3 outside ground set 1..2", column=6)
+
+
 def test_malformed_subset():
     text = "kind rank-table\nn 2\nrank 1,, 1\n"
     expect_error(text, 3, "malformed subset")

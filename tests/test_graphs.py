@@ -13,7 +13,7 @@ from polymat.activity import polynomial_pair
 from polymat.core import Polymatroid, RankTable
 from polymat.graphs import Graph, cut_formula_check
 from polymat.hypergraphs import Hypergraph
-from polymat import graphs, matroids
+from polymat import core, graphs, matroids
 from polymat.matroids import Matroid, TuttePolynomial, tutte_polynomial
 from polymat.polynomials import Polynomial
 from polymat.structure import rank_drop_thresholds
@@ -289,6 +289,16 @@ def test_verify_graph_scans_bonds_and_expands_tutte_once(monkeypatch):
     assert all(check.passed for check in verify_graph(k5()))
     assert 0 < len(scans) <= 2 * (2**4 - 1)
     assert len(grids) == 1
+
+
+def test_verify_graph_builds_each_singleton_sum_table_once(monkeypatch):
+    # One table for P, one for its dual, one for each of the two relabelings.
+    calls = []
+    subset_sums = core.subset_sums
+    monkeypatch.setattr(core, "subset_sums", lambda w: calls.append(w) or subset_sums(w))
+    k6 = Graph(6, list(itertools.combinations(range(1, 7), 2)))
+    assert all(check.passed for check in verify_graph(k6))
+    assert len(calls) == 4
 
 
 def test_path_on_13_vertices_has_12_bonds():

@@ -71,6 +71,12 @@ def test_closure_and_flats_against_definition(small_corpus):
             assert is_flat(P, c)
 
 
+def test_is_flat_matches_closure(wide_instances):
+    for P in wide_instances:
+        for m in iter_masks(P.n):
+            assert is_flat(P, m) == (closure(P, m) == m)
+
+
 def test_reference_flats(example5):
     assert [tuple(elements_of(m)) for m in flats(example5)] == [
         (),
