@@ -11,8 +11,8 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
+from itertools import accumulate, compress, repeat
+from operator import gt, lt, mul, sub
 from typing import Iterable, Sequence
 
 from .core import Polymatroid, _once, _split
@@ -27,7 +27,7 @@ class ActivityReport:
 
 
 def _active_sets(n, basis, member):
-    # One basis through a membership test; sweeps use point_set_polynomials.
+    # One basis through a membership test; sweeps over many use _sweep.
     internal = {1}
     external = {1}
     for i in range(2, n + 1):
@@ -63,8 +63,29 @@ def activity(P: Polymatroid, basis: Sequence[int]) -> ActivityReport:
 
 @_once
 def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) in one sweep over the bases, probing integer codes; once per object."""
-    return point_set_polynomials(P.bases(), P.n)
+    """(interior, exterior) in one sweep over the bases; once per object.
+
+    Walks ``P._basis_dag()`` straight to integer codes, building no basis tuple;
+    ``coord_min`` and ``coord_max`` are exact column bounds (every value in a
+    coordinate's range occurs in some basis), so they give weights and masks."""
+    edges = P._basis_dag()
+    weights = _weights(P.coord_min, P.coord_max)
+    levels = list(zip(weights, P.coord_min, P.coord_max, (1 << t for t in range(P.n))))
+    codes: dict[int, tuple[int, int]] = {}
+
+    def walk(k: int, t: int, code: int, above: int, below: int) -> None:
+        w, lo, hi, b = levels[t]
+        for j, child in edges[k]:
+            c = code + j * w
+            a = above | b if j > lo else above
+            d = below | b if j < hi else below
+            if child is None:
+                codes[c] = (a, d)
+            else:
+                walk(child, t + 1, c, a, d)
+
+    walk(len(edges) - 1, 0, 0, 0, 0)
+    return _sweep(codes, weights, P.n)
 
 
 def interior_polynomial(P: Polymatroid) -> Polynomial:
@@ -126,7 +147,7 @@ def point_set_polynomials(
 ) -> tuple[Polynomial, Polynomial]:
     """(interior, exterior) of an explicit finite point set.
 
-    Each point becomes one integer code, and membership is decided by set
+    Each point becomes one integer code, and membership is decided by
     lookup on the codes, so any finite set of integer vectors works,
     including translates with negative coordinates.
     """
@@ -136,30 +157,42 @@ def point_set_polynomials(
     for p in pts:
         if len(p) != n:
             raise ValueError(f"vector length {len(p)} != ground-set size {n}")
-    # Mixed radix: coordinate t has weight w_t and a radix of its range plus
-    # one spare value, so the probe a -/+ e_i +/- e_j has code c +/- (w_j - w_i).
-    # A +-1 step out of the range carries or borrows into the spare value,
-    # which no point has; without the spare, probes would hit other points.
-    weights = []
-    w = 1
-    for column in zip(*pts):
-        weights.append(w)
-        w *= max(column) - min(column) + 2
-    codes = {sum(map(int.__mul__, p, weights)) for p in pts}
-    steps = [[w_j - w_i for w_j in weights[:i]] for i, w_i in enumerate(weights)]
+    lows, highs = [min(c) for c in zip(*pts)], [max(c) for c in zip(*pts)]
+    weights = _weights(lows, highs)
+    flags = [1 << t for t in range(n)]
+    codes = {sum(map(int.__mul__, p, weights)): (sum(compress(flags, map(gt, p, lows))),
+                                                 sum(compress(flags, map(lt, p, highs))))
+             for p in pts}
+    return _sweep(codes, weights, n)
+
+
+def _weights(lows: Sequence[int], highs: Sequence[int]) -> list[int]:
+    """Mixed radix: coordinate t has a radix of its range plus one spare value,
+    so a +-1 step out of the range lands on a digit no point has."""
+    return list(accumulate((hi - lo + 2 for lo, hi in zip(lows, highs)), mul, initial=1))[:-1]
+
+
+def _sweep(codes: dict, weights: Sequence[int], n: int) -> tuple[Polynomial, Polynomial]:
+    """Count inactive indices over distinct codes, each mapped to the masks of its
+    coordinates above their minimum and below their maximum.  The probe
+    a -/+ e_i +/- e_j (j < i) has code c -/+ (w_i - w_j); it must miss when a_i
+    is at its minimum/maximum, so it is skipped.  Index 1 is never probed."""
+    steps = [(1 << i, [w_j - w_i for w_j in weights[:i]]) for i, w_i in enumerate(weights)][1:]
     interior = [0] * (n + 1)
     exterior = [0] * (n + 1)
-    for c in codes:
+    for c, (above, below) in codes.items():
         internally_inactive = externally_inactive = 0
-        for diffs in steps:
-            for d in diffs:
-                if c + d in codes:
-                    internally_inactive += 1
-                    break
-            for d in diffs:
-                if c - d in codes:
-                    externally_inactive += 1
-                    break
+        for b, diffs in steps:
+            if above & b:
+                for d in diffs:
+                    if c + d in codes:
+                        internally_inactive += 1
+                        break
+            if below & b:
+                for d in diffs:
+                    if c - d in codes:
+                        externally_inactive += 1
+                        break
         interior[internally_inactive] += 1
         exterior[externally_inactive] += 1
     return Polynomial(tuple(interior), "x"), Polynomial(tuple(exterior), "y")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import repeat
-from operator import sub
+from operator import ge, sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -139,10 +139,25 @@ class RankTable:
 
 
 def _check_axioms(table: RankTable) -> None:
+    """Raise the first axiom violation in mask order, if there is one.
+
+    Whole lists decide: for each element t the gains f(I + t) - f(I) must be
+    nonnegative and, split on each later element u, must not grow when u
+    joins I.  Only a rejected table is scanned for the first witness.
+    """
     values = table.values
     n = table.n
     if values[0] != 0:
         raise NormalizationError(values[0])
+    for t in range(1, n + 1):
+        without, within = _split(values, t)
+        gains = list(map(sub, within, without))
+        # Split on u = t..n-1: the later elements, renumbered down past t.
+        if min(gains) < 0 or not all(all(map(ge, *_split(gains, u))) for u in range(t, n)):
+            return _first_violation(values, n)
+
+
+def _first_violation(values: Sequence[int], n: int) -> None:
     for m in iter_masks(n):
         vm = values[m]
         for t in range(n):
@@ -188,11 +203,20 @@ def _split(values: Sequence[int], t: int) -> tuple[list[int], list[int]]:
     """(f(I), f(I + t)) over the subsets I of the other elements, renumbered downward.
 
     Masks without t come in runs of 2^(t-1), alternating with runs that
-    contain t; for the top element the two lists are the table's halves.
+    contain t.  Both lists are filled from at most sqrt(2^n) slices: one
+    stride per offset in a run while runs are short, else one per run.
     """
-    run = 1 << (t - 1)
-    runs = [values[s : s + run] for s in range(0, len(values), run)]
-    return [v for r in runs[0::2] for v in r], [v for r in runs[1::2] for v in r]
+    run, half = 1 << (t - 1), len(values) // 2
+    without, within = [0] * half, [0] * half
+    if run * run <= 2 * half:
+        for r in range(run):
+            without[r::run] = values[r :: 2 * run]
+            within[r::run] = values[r + run :: 2 * run]
+    else:
+        for s in range(0, half, run):
+            without[s : s + run] = values[2 * s : 2 * s + run]
+            within[s : s + run] = values[2 * s + run : 2 * s + 2 * run]
+    return without, within
 
 
 class Polymatroid:
@@ -202,8 +226,8 @@ class Polymatroid:
     local submodularity) and raises the matching ``ValidationError``
     subclass, carrying the first witnessing subsets in scan order.
     Tables valid by theorem come in through ``_trusted`` and skip them.
-    A polymatroid is immutable: its bases, dual, polynomial pair and
-    structure maps are computed once (``_once``) and then shared.
+    A polymatroid is immutable: its basis DAG, bases, dual, polynomial
+    pair and structure maps are computed once (``_once``) and then shared.
     """
 
     def __init__(self, table: RankTable):
@@ -268,25 +292,23 @@ class Polymatroid:
         return True
 
     @_once
-    def bases(self) -> tuple[tuple[int, ...], ...]:
-        """Every basis, in lexicographic vector order.
+    def _basis_dag(self) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+        """The slices of ``bases()`` as a DAG: each node's (j, child) edges, root last.
 
         Pins the lowest element to each j from f(E) - f(E - 1) to f({1}) and
         recurses on that slice, whose table min(f(I), f(I + 1) - j) over the
         other elements (the theorem behind ``slice_at``) is half the size.
-        Every slice in range is nonempty, so every leaf is a basis.  By
-        submodularity the lowest pin's slice is the deletion f(I) and the
-        highest pin's is the contraction f(I + 1) - f({1}), so only the pins
-        between them take the min.
+        Every slice in range is nonempty, so every root-to-leaf path is a
+        basis.  By submodularity the lowest pin's slice is the deletion f(I)
+        and the highest pin's is the contraction f(I + 1) - f({1}), so only
+        the pins between them take the min.
 
-        Many prefixes reach the same slice, so the slices form a DAG: each
-        distinct table is one node holding its (j, child) edges, and a
-        one-element table (0, a) is a leaf whose only coordinate is a.  A
-        depth-first walk in increasing j then emits every root-to-leaf path.
-        The nodes live for one call only.
+        Many prefixes reach the same slice, so each distinct table is one node;
+        a one-element table (0, a) is a leaf edge (a, None).  A node at depth
+        t - 1 pins element t.  Only the edges are kept, not the tables.
         """
         node_of: dict[tuple[int, ...], int] = {}
-        edges: list[list[tuple[int, int | None]]] = []
+        edges: list[tuple[tuple[int, int | None], ...]] = []
 
         def node(vals: tuple[int, ...]) -> int:
             if vals not in node_of:
@@ -298,12 +320,19 @@ class Polymatroid:
                                for j in range(lowest + 1, top)]
                     if top > lowest:
                         slices.append(tuple(map(sub, within, repeat(top))))
-                    edges.append([(j, node(vs)) for j, vs in enumerate(slices, lowest)])
+                    edges.append(tuple((j, node(vs)) for j, vs in enumerate(slices, lowest)))
                 else:
-                    edges.append([(vals[1], None)])
+                    edges.append(((vals[1], None),))
                 node_of[vals] = len(edges) - 1
             return node_of[vals]
 
+        node(self.table.values)
+        return tuple(edges)
+
+    @_once
+    def bases(self) -> tuple[tuple[int, ...], ...]:
+        """Every basis in lexicographic order: the DAG's paths, depth first in increasing j."""
+        edges = self._basis_dag()
         out: list[tuple[int, ...]] = []
 
         def walk(prefix: tuple[int, ...], k: int) -> None:
@@ -313,11 +342,15 @@ class Polymatroid:
                 else:
                     walk(prefix + (j,), child)
 
-        walk((), node(self.table.values))
+        walk((), len(edges) - 1)
         return tuple(out)
 
     def basis_count(self) -> int:
-        return len(self.bases())
+        """The number of root-to-leaf paths of ``_basis_dag``, counted without listing them."""
+        paths: list[int] = []
+        for node in self._basis_dag():
+            paths.append(sum(1 if child is None else paths[child] for _, child in node))
+        return paths[-1]
 
     def greedy_basis(self) -> tuple[int, ...]:
         """Chain increments f({1..t}) - f({1..t-1}); always a basis."""

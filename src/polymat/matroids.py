@@ -21,7 +21,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .activity import polynomial_pair
-from .core import Polymatroid, _once
+from .core import Polymatroid, RankTable, ValidationError, _check_axioms, _once
 from .polynomials import Polynomial
 from .structure import (
     circuit_sets,
@@ -49,10 +49,12 @@ class BaseExchangeError(ValueError):
 class Matroid:
     """Matroid on {1..n} from an explicit list of bases.
 
-    Bases must be nonempty as a collection, equicardinal, and satisfy
-    the exchange axiom; all three are checked on construction.  The rank
-    of every subset is then tabulated once from the bases, and every
-    rank query after that is a lookup.
+    Bases must be nonempty as a collection, equicardinal, and satisfy the
+    exchange axiom; all three are checked on construction, exchange through
+    r(S) = max |S & B| over the bases B: r rises by at most one per element, so
+    it passes ``_check_axioms`` iff it is a matroid rank function, whose bases
+    (full-rank sets of size |B|, each inside a listed base) are the listed ones.
+    Only a rejected list is scanned for the exchange witness.
     """
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
@@ -64,8 +66,20 @@ class Matroid:
         sizes = {m.bit_count() for m in masks}
         if len(sizes) > 1:
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
-        _check_exchange(masks)
-        self._set(n, [max((m & b).bit_count() for b in masks) for m in iter_masks(n)], masks)
+        independent = layer = set(masks)  # the down-closure of the bases, size by size
+        while layer:
+            layer = {m ^ b for m in layer for b in bits(m)}
+            independent |= layer
+        # max |S & B| is |S| on the down-closure, else the best one-smaller subset's.
+        ranks = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            ranks[m] = m.bit_count() if m in independent else max([ranks[m ^ b] for b in bits(m)])
+        try:
+            _check_axioms(RankTable(n, ranks, max_n=n))
+        except ValidationError:
+            _check_exchange(masks)
+            raise  # not reached: a list that fails the axioms fails exchange
+        self._set(n, ranks, masks)
 
     @classmethod
     def _trusted(cls, n: int, ranks: Sequence[int], base_masks: Sequence[int]) -> Matroid:

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from polymat import (
+    Graph,
     Polymatroid,
     Polynomial,
     activity,
@@ -18,10 +20,35 @@ from polymat import (
     translate,
 )
 
-from generators import ladder_tables
+from generators import coverage_table, ladder_tables
 from oracles import brute_bases, brute_polynomial_counts
 
 LADDER = ladder_tables()
+
+# Coverage tables with n = 6-12 (2-subsets past n = 9 keep the oracle quick).
+COVERAGE = {n: (n, 8, 2, 1) if n > 9 else (n, n, 3, n) for n in range(6, 13)}
+
+GRAPHS = {
+    "K5": (5, list(itertools.combinations(range(1, 6), 2))),
+    "W5": (6, [(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(1, 6)]),
+    "K3,3": (6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+    "K6": (6, list(itertools.combinations(range(1, 7), 2))),
+}
+
+
+def cycle_polymatroid(name: str, dual: bool) -> Polymatroid:
+    P = Graph(*GRAPHS[name]).cycle_matroid().to_polymatroid()
+    return P.dual() if dual else P
+
+
+def assert_dag_sweep_matches(P: Polymatroid) -> None:
+    # The pair is taken first, from the DAG walk; the listed bases then feed
+    # the point-set route and the oracle's explicit vector lookups.
+    pair = polynomial_pair(P)
+    bases = P.bases()
+    assert pair == point_set_polynomials(bases, P.n)
+    brute_interior, brute_exterior = brute_polynomial_counts(bases, P.n)
+    assert pair == (Polynomial(brute_interior, "x"), Polynomial(brute_exterior, "y"))
 
 
 def test_activity_requires_a_basis(example5):
@@ -175,6 +202,54 @@ def test_point_set_route_matches_brute_force_off_basis_sets():
         brute_interior, brute_exterior = brute_polynomial_counts(points, n)
         assert interior == Polynomial(brute_interior, "x")
         assert exterior == Polynomial(brute_exterior, "y")
+
+
+def test_dag_sweep_matches_point_set_route_on_wide_corpus(wide_instances):
+    for P in wide_instances:
+        assert_dag_sweep_matches(Polymatroid(P.table))
+
+
+@pytest.mark.parametrize("table", LADDER.values(), ids=LADDER.keys())
+def test_dag_sweep_matches_point_set_route_on_ladder(table):
+    assert_dag_sweep_matches(Polymatroid(table))
+
+
+@pytest.mark.parametrize("params", COVERAGE.values(), ids=[f"n{n}" for n in COVERAGE])
+def test_dag_sweep_matches_point_set_route_on_coverage_tables(params):
+    assert_dag_sweep_matches(Polymatroid(coverage_table(*params)))
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("name", GRAPHS)
+def test_dag_sweep_matches_point_set_route_on_cycle_matroids(name, dual):
+    # 0/1 bases: every coordinate sits at one of its bounds, so the bound
+    # masks skip one of the two probe kinds at every index.
+    assert_dag_sweep_matches(cycle_polymatroid(name, dual))
+
+
+@pytest.mark.parametrize("name", ["coverage-8a", "coverage-9b", "doubled-k5", "K5", "W5"])
+def test_point_set_bound_masks_on_translated_and_negated_bases(name):
+    # Off the polymatroid path the bounds and masks come from the points
+    # themselves; shifts below zero move both bounds of every coordinate.
+    P = Polymatroid(LADDER[name]) if name in LADDER else cycle_polymatroid(name, False)
+    interior, exterior = polynomial_pair(P)
+    rng = random.Random(name)
+    shift = tuple(rng.randint(-4, 2) for _ in range(P.n))
+    moved = translate(P.bases(), shift)
+    assert min(min(p) for p in moved) < 0
+    assert point_set_polynomials(moved, P.n) == (interior, exterior)
+    assert point_set_polynomials(negate(moved), P.n) == (exterior, interior)
+    brute_interior, brute_exterior = brute_polynomial_counts(negate(moved), P.n)
+    assert (Polynomial(brute_interior), Polynomial(brute_exterior)) == (exterior, interior)
+
+
+def test_polynomial_pair_leaves_bases_unlisted():
+    P = Polymatroid(LADDER["coverage-9a"])
+    bases_key = f"{Polymatroid.bases.__module__}.{Polymatroid.bases.__qualname__}"
+    pair = polynomial_pair(P)
+    assert bases_key not in vars(P)
+    assert pair[0](1) == P.basis_count() == len(P.bases())
+    assert bases_key in vars(P)
 
 
 def test_point_set_rejects_bad_input():

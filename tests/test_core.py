@@ -4,6 +4,7 @@ import random
 import pytest
 
 from polymat import (
+    Graph,
     MonotonicityError,
     NormalizationError,
     Polymatroid,
@@ -16,6 +17,8 @@ from polymat import (
     polynomial_pair,
     translate,
 )
+import polymat.core
+from polymat.core import ValidationError, _first_violation
 
 from generators import coverage_table, ladder_tables
 from oracles import brute_bases, leaf_checked_bases, minor_ranks
@@ -60,6 +63,72 @@ def test_submodularity_error_carries_witness():
     with pytest.raises(SubmodularityError) as info:
         Polymatroid(RankTable(2, [0, 1, 1, 3]))
     assert (info.value.i, info.value.j) == (1, 2)
+
+
+def _scan_verdict(values, n):
+    """None when the mask-order scan accepts, else the text of its first witness."""
+    try:
+        _first_violation(values, n)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture
+def whole_list_verdict(monkeypatch):
+    """Run the axiom check and tell whether its whole-list pass accepted the table.
+
+    The mask-order scan runs only on rejection, so a call to it is the
+    whole-list pass's "no"; the check's own outcome is returned alongside.
+    """
+    calls = []
+
+    def scan(values, n):
+        calls.append(values)
+        return _first_violation(values, n)
+
+    monkeypatch.setattr(polymat.core, "_first_violation", scan)
+
+    def verdict(values, n):
+        calls.clear()
+        try:
+            Polymatroid(RankTable(n, values))
+        except ValidationError as exc:
+            return not calls, str(exc)
+        return not calls, None
+
+    return verdict
+
+
+def test_whole_list_axiom_pass_agrees_with_mask_scan(whole_list_verdict):
+    # Coverage tables with zero to two ranks moved by one: about a third
+    # break monotonicity or submodularity somewhere.
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(6000):
+        n = rng.randint(1, 7)
+        values = list(coverage_table(n, rng.randint(3, 8), rng.randint(1, 3), rng.randrange(10**6)).values)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            values[rng.randrange(1, 1 << n)] += rng.choice((-1, 1))
+        witness = _scan_verdict(values, n)
+        assert whole_list_verdict(values, n) == (witness is None, witness), values
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+AXIOM_TABLES = {**LADDER, "coverage-11": coverage_table(11, 9, 3, 2), "coverage-12": coverage_table(12, 10, 3, 1)}
+
+
+@pytest.mark.parametrize("table", AXIOM_TABLES.values(), ids=AXIOM_TABLES.keys())
+def test_whole_list_axiom_pass_on_tables_past_n7(whole_list_verdict, table):
+    n, values = table.n, table.values
+    assert whole_list_verdict(values, n) == (True, None) and _scan_verdict(values, n) is None
+    rng = random.Random(n)
+    for _ in range(3):
+        moved = list(values)
+        moved[rng.randrange(1, 1 << n)] += rng.choice((-1, 1))
+        witness = _scan_verdict(moved, n)
+        assert whole_list_verdict(moved, n) == (witness is None, witness)
 
 
 def test_reference_table_attributes(example5):
@@ -115,6 +184,15 @@ def test_bases_are_computed_once():
     P = Polymatroid(coverage_table(6, 6, 2, 1))
     assert P.bases() is P.bases()
     assert P.dual().bases() is not P.bases()
+
+
+def test_basis_count_is_the_dag_path_count(full_corpus):
+    bases_key = f"{Polymatroid.bases.__module__}.{Polymatroid.bases.__qualname__}"
+    for P in full_corpus[:40] + [Polymatroid(table) for table in LADDER.values()]:
+        Q = Polymatroid(P.table)
+        count = Q.basis_count()
+        assert bases_key not in vars(Q)
+        assert count == len(Q.bases())
 
 
 def test_bases_are_lexicographically_sorted(example5):

@@ -17,6 +17,9 @@ from polymat import (
     tutte_polynomial,
 )
 
+from polymat.matroids import _check_exchange
+from polymat.subsets import mask_of
+
 from generators import seeded_multigraph, seeded_multigraphs
 from oracles import (
     closure_hyperplanes,
@@ -42,6 +45,33 @@ def test_exchange_axiom_enforced():
     # {2,3} nor {2,4} is listed.
     with pytest.raises(BaseExchangeError):
         Matroid(4, [(1, 2), (3, 4)])
+
+
+def test_rank_route_agrees_with_exchange_scan():
+    # Random families of r-subsets, n <= 7: the rank-function route must
+    # accept exactly the families the exchange scan accepts, reject the
+    # others with the scan's witness, and give every subset max |S & B|.
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        combos = list(itertools.combinations(range(1, n + 1), rng.randint(1, n - 1)))
+        family = rng.sample(combos, rng.randint(1, min(len(combos), 6)))
+        masks = sorted({mask_of(b, n) for b in family})
+        try:
+            _check_exchange(masks)
+            witness = None
+        except BaseExchangeError as exc:
+            witness = str(exc)
+        if witness is None:
+            M = Matroid(n, family)
+            assert M._ranks == tuple(max((m & b).bit_count() for b in masks) for m in range(1 << n))
+        else:
+            with pytest.raises(BaseExchangeError) as info:
+                Matroid(n, family)
+            assert str(info.value) == witness
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
 
 
 def test_bases_required():

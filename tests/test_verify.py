@@ -8,6 +8,7 @@ import pytest
 
 import polymat.graphs
 import polymat.hypergraphs
+from polymat.core import Polymatroid, _once
 from polymat.graphs import Graph
 from polymat.hypergraphs import Hypergraph
 from polymat.matroids import Matroid
@@ -154,6 +155,27 @@ def test_hypergraph_suite_passes_on_twelve_hyperedges():
 def test_hypergraph_suite_requires_connected_input():
     with pytest.raises(ValueError):
         verify_hypergraph(Hypergraph(("a", "b"), [("a",), ("b",)]))
+
+
+@pytest.mark.parametrize("case", ["coverage", "K5"])
+def test_suite_builds_each_basis_dag_once(monkeypatch, case):
+    # The sweep and the basis count read one DAG per polymatroid: P, its
+    # dual and its relabelings are each built exactly once.
+    built = []
+    build = Polymatroid._basis_dag.__wrapped__
+
+    def counted(P):
+        built.append(P)
+        return build(P)
+
+    monkeypatch.setattr(Polymatroid, "_basis_dag", _once(counted))
+    if case == "K5":
+        K5 = Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+        assert_all_pass(verify_matroid(K5.cycle_matroid()))
+    else:
+        assert_all_pass(verify_polymatroid(random_polymatroid(random.Random(3), 7)))
+    assert len(built) >= 4
+    assert len({id(P) for P in built}) == len(built)
 
 
 def test_check_result_detail_kept_on_failure():
