@@ -10,17 +10,15 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import gt, lt, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Polymatroid, _once, _split
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
-class ActivityReport:
+class ActivityReport(NamedTuple):
     basis: tuple[int, ...]
     internal: frozenset[int]
     external: frozenset[int]
@@ -198,8 +196,7 @@ def _sweep(codes: dict, weights: Sequence[int], n: int) -> tuple[Polynomial, Pol
     return Polynomial(tuple(interior), "x"), Polynomial(tuple(exterior), "y")
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     interior: Polynomial
     exterior: Polynomial
     dual_interior: Polynomial
@@ -217,8 +214,7 @@ def check_duality(P: Polymatroid) -> DualityReport:
     return DualityReport(interior, exterior, dual_interior, dual_exterior)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     permutation: tuple[int, ...]
     interior: Polynomial
     exterior: Polynomial

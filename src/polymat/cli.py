@@ -16,7 +16,6 @@ failed, 2 the input could not be parsed, validated, or sized.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .activity import exterior_by_slices, interior_by_slices, polynomial_pair
@@ -117,6 +116,7 @@ def _build_object(doc: InputDocument, args) -> tuple[object, Polymatroid]:
 
 def _emit(args, lines: list[str], payload: dict) -> None:
     if args.machine:
+        import json  # only --machine pays for the encoder's import
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print("\n".join(lines))

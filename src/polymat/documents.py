@@ -17,9 +17,8 @@ form, and parse(emit(parse(text))) == parse(text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 from .subsets import elements_of
 
@@ -32,30 +31,26 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class RankTableDocument:
-    kind: ClassVar[str] = "rank-table"
+class RankTableDocument(NamedTuple):
+    kind = "rank-table"
     n: int
     entries: tuple[tuple[tuple[int, ...], int], ...]  # sorted by subset mask
 
 
-@dataclass(frozen=True)
-class GraphDocument:
-    kind: ClassVar[str] = "graph"
+class GraphDocument(NamedTuple):
+    kind = "graph"
     vertex_count: int
     edges: tuple[tuple[int, int], ...]  # input order
 
 
-@dataclass(frozen=True)
-class MatroidDocument:
-    kind: ClassVar[str] = "matroid"
+class MatroidDocument(NamedTuple):
+    kind = "matroid"
     n: int
     bases: tuple[tuple[int, ...], ...]  # sorted
 
 
-@dataclass(frozen=True)
-class HypergraphDocument:
-    kind: ClassVar[str] = "hypergraph"
+class HypergraphDocument(NamedTuple):
+    kind = "hypergraph"
     vertices: tuple[str, ...]
     hyperedges: tuple[tuple[str, ...], ...]  # input order, members in vertex order
 
@@ -64,44 +59,47 @@ InputDocument = Union[RankTableDocument, GraphDocument, MatroidDocument, Hypergr
 
 
 def _tokenize(text: str):
+    """(line number, tokens, text before any comment) for each line that has tokens."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
-        if not stripped.strip():
-            continue
         tokens = stripped.split()
-        columns = []
-        cursor = 0
-        for tok in tokens:
-            at = stripped.index(tok, cursor)
-            columns.append(at + 1)
-            cursor = at + len(tok)
-        rows.append((lineno, tokens, columns))
+        if tokens:
+            rows.append((lineno, tokens, stripped))
     return rows
 
 
-def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
+def _error(row, k: int, message: str) -> ParseError:
+    """An error at the k-th token of a row; columns are found only for errors."""
+    lineno, tokens, stripped = row
+    end = 0
+    for tok in tokens[: k + 1]:
+        end = stripped.index(tok, end) + len(tok)
+    return ParseError(lineno, end - len(tokens[k]) + 1, message)
+
+
+def _parse_int(token: str, row, k: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(lineno, column, f"expected an integer {what}, got {token!r}") from None
+        raise _error(row, k, f"expected an integer {what}, got {token!r}") from None
 
 
-def _parse_subset(token: str, lineno: int, column: int, n: int) -> tuple[int, ...]:
+def _parse_subset(token: str, row, k: int, n: int) -> tuple[int, ...]:
     """Ascending elements of a comma list or ``empty``: distinct, then each in 1..n."""
     if token == "empty":
         return ()
     out = []
     for part in token.split(","):
         if not part:
-            raise ParseError(lineno, column, f"malformed subset {token!r}")
-        out.append(_parse_int(part, lineno, column, "element"))
+            raise _error(row, k, f"malformed subset {token!r}")
+        out.append(_parse_int(part, row, k, "element"))
     if len(set(out)) != len(out):
-        raise ParseError(lineno, column, f"repeated element in subset {token!r}")
+        raise _error(row, k, f"repeated element in subset {token!r}")
     out.sort()
     for e in out:
         if not 1 <= e <= n:
-            raise ParseError(lineno, column, f"element {e} outside ground set 1..{n}")
+            raise _error(row, k, f"element {e} outside ground set 1..{n}")
     return tuple(out)
 
 
@@ -109,9 +107,9 @@ def parse_document(text: str) -> InputDocument:
     rows = _tokenize(text)
     if not rows:
         raise ParseError(1, 1, "empty document")
-    lineno, tokens, columns = rows[0]
+    lineno, tokens, _ = rows[0]
     if tokens[0] != "kind" or len(tokens) != 2:
-        raise ParseError(lineno, columns[0], "document must start with 'kind <kind>'")
+        raise _error(rows[0], 0, "document must start with 'kind <kind>'")
     kind = tokens[1]
     body = rows[1:]
     if kind == "rank-table":
@@ -122,48 +120,47 @@ def parse_document(text: str) -> InputDocument:
         return _parse_matroid(body, lineno)
     if kind == "hypergraph":
         return _parse_hypergraph(body, lineno)
-    raise ParseError(lineno, columns[1], f"unknown kind {kind!r}")
+    raise _error(rows[0], 1, f"unknown kind {kind!r}")
 
 
 def _expect_header(body, name: str, after_line: int):
     if not body:
         raise ParseError(after_line, 1, f"expected '{name} ...' after the kind line")
-    lineno, tokens, columns = body[0]
-    if tokens[0] != name:
-        raise ParseError(lineno, columns[0], f"expected '{name} ...', got {tokens[0]!r}")
+    word = body[0][1][0]
+    if word != name:
+        raise _error(body[0], 0, f"expected '{name} ...', got {word!r}")
     return body[0]
 
 
 def _parse_count(body, kind_line: int, header: str, noun: str, what: str) -> int:
     """The positive integer of a '<header> <count>' line, the first after the kind line."""
-    lineno, tokens, columns = _expect_header(body, header, kind_line)
-    if len(tokens) != 2:
-        raise ParseError(lineno, columns[0], f"'{header}' takes exactly one {noun}")
-    value = _parse_int(tokens[1], lineno, columns[1], what)
+    row = _expect_header(body, header, kind_line)
+    if len(row[1]) != 2:
+        raise _error(row, 0, f"'{header}' takes exactly one {noun}")
+    value = _parse_int(row[1][1], row, 1, what)
     if value < 1:
-        raise ParseError(lineno, columns[1], f"{what} must be positive")
+        raise _error(row, 1, f"{what} must be positive")
     return value
 
 
 def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
     n = _parse_count(body, kind_line, "n", "value", "ground-set size")
     seen: dict[tuple[int, ...], int] = {}
-    last_line = body[0][0]
-    for lineno, tokens, columns in body[1:]:
-        last_line = lineno
+    for row in body[1:]:
+        tokens = row[1]
         if tokens[0] != "rank":
-            raise ParseError(lineno, columns[0], f"expected 'rank', got {tokens[0]!r}")
+            raise _error(row, 0, f"expected 'rank', got {tokens[0]!r}")
         if len(tokens) != 3:
-            raise ParseError(lineno, columns[0], "'rank' lines need a subset and a value")
-        subset = _parse_subset(tokens[1], lineno, columns[1], n)
+            raise _error(row, 0, "'rank' lines need a subset and a value")
+        subset = _parse_subset(tokens[1], row, 1, n)
         if subset in seen:
-            raise ParseError(lineno, columns[1], f"duplicate rank entry for {tokens[1]!r}")
-        seen[subset] = _parse_int(tokens[2], lineno, columns[2], "rank value")
+            raise _error(row, 1, f"duplicate rank entry for {tokens[1]!r}")
+        seen[subset] = _parse_int(tokens[2], row, 2, "rank value")
     # Entries are distinct subsets of 1..n: a bit length <= n means fewer than 2^n, never built.
     if len(seen).bit_length() <= n:
         missing = next(s for s in map(elements_of, count()) if s not in seen)
         raise ParseError(
-            last_line, 1, f"rank table is not total: missing subset {_subset_text(missing)}"
+            body[-1][0], 1, f"rank table is not total: missing subset {_subset_text(missing)}"
         )
     entries = tuple((subset, seen[subset]) for subset in map(elements_of, range(1 << n)))
     return RankTableDocument(n, entries)
@@ -172,16 +169,17 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
 def _parse_graph(body, kind_line: int) -> GraphDocument:
     nv = _parse_count(body, kind_line, "vertices", "count", "vertex count")
     edges = []
-    for lineno, tokens, columns in body[1:]:
+    for row in body[1:]:
+        tokens = row[1]
         if tokens[0] != "edge":
-            raise ParseError(lineno, columns[0], f"expected 'edge', got {tokens[0]!r}")
+            raise _error(row, 0, f"expected 'edge', got {tokens[0]!r}")
         if len(tokens) != 3:
-            raise ParseError(lineno, columns[0], "'edge' lines need two endpoints")
-        u = _parse_int(tokens[1], lineno, columns[1], "vertex id")
-        v = _parse_int(tokens[2], lineno, columns[2], "vertex id")
-        for w, col in ((u, columns[1]), (v, columns[2])):
+            raise _error(row, 0, "'edge' lines need two endpoints")
+        u = _parse_int(tokens[1], row, 1, "vertex id")
+        v = _parse_int(tokens[2], row, 2, "vertex id")
+        for w, k in ((u, 1), (v, 2)):
             if not 1 <= w <= nv:
-                raise ParseError(lineno, col, f"vertex {w} outside 1..{nv}")
+                raise _error(row, k, f"vertex {w} outside 1..{nv}")
         edges.append((u, v))
     return GraphDocument(nv, tuple(edges))
 
@@ -189,37 +187,39 @@ def _parse_graph(body, kind_line: int) -> GraphDocument:
 def _parse_matroid(body, kind_line: int) -> MatroidDocument:
     n = _parse_count(body, kind_line, "n", "value", "ground-set size")
     bases = set()
-    for lineno, tokens, columns in body[1:]:
+    for row in body[1:]:
+        tokens = row[1]
         if tokens[0] != "base":
-            raise ParseError(lineno, columns[0], f"expected 'base', got {tokens[0]!r}")
+            raise _error(row, 0, f"expected 'base', got {tokens[0]!r}")
         if len(tokens) != 2:
-            raise ParseError(lineno, columns[0], "'base' lines take one subset")
-        bases.add(_parse_subset(tokens[1], lineno, columns[1], n))
+            raise _error(row, 0, "'base' lines take one subset")
+        bases.add(_parse_subset(tokens[1], row, 1, n))
     if not bases:
         raise ParseError(kind_line, 1, "a matroid document needs at least one base")
     return MatroidDocument(n, tuple(sorted(bases)))
 
 
 def _parse_hypergraph(body, kind_line: int) -> HypergraphDocument:
-    lineno, tokens, columns = _expect_header(body, "vertices", kind_line)
-    names = tuple(tokens[1:])
+    header = _expect_header(body, "vertices", kind_line)
+    names = tuple(header[1][1:])
     if not names:
-        raise ParseError(lineno, columns[0], "'vertices' needs at least one name")
+        raise _error(header, 0, "'vertices' needs at least one name")
     if len(set(names)) != len(names):
-        raise ParseError(lineno, columns[0], "vertex names must be unique")
+        raise _error(header, 0, "vertex names must be unique")
     order = {name: k for k, name in enumerate(names)}
     hyperedges = []
-    for lineno, tokens, columns in body[1:]:
+    for row in body[1:]:
+        tokens = row[1]
         if tokens[0] != "hedge":
-            raise ParseError(lineno, columns[0], f"expected 'hedge', got {tokens[0]!r}")
+            raise _error(row, 0, f"expected 'hedge', got {tokens[0]!r}")
         members = tokens[1:]
         if not members:
-            raise ParseError(lineno, columns[0], "'hedge' lines need at least one vertex")
+            raise _error(row, 0, "'hedge' lines need at least one vertex")
         for k, name in enumerate(members):
             if name not in order:
-                raise ParseError(lineno, columns[k + 1], f"unknown vertex {name!r}")
+                raise _error(row, k + 1, f"unknown vertex {name!r}")
         if len(set(members)) != len(members):
-            raise ParseError(lineno, columns[0], "repeated vertex in hyperedge")
+            raise _error(row, 0, "repeated vertex in hyperedge")
         hyperedges.append(tuple(sorted(members, key=order.get)))
     if not hyperedges:
         raise ParseError(kind_line, 1, "a hypergraph document needs at least one hyperedge")

@@ -16,8 +16,7 @@ connected graph, so they share no code with the rank table that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import _once
 from .matroids import Matroid, tutte_polynomial
@@ -234,8 +233,7 @@ class Graph:
         return best
 
 
-@dataclass(frozen=True)
-class CutFormulaRow:
+class CutFormulaRow(NamedTuple):
     i: int
     formula: int
     coefficient: int
@@ -245,8 +243,7 @@ class CutFormulaRow:
         return self.formula == self.coefficient
 
 
-@dataclass(frozen=True)
-class CutFormulaReport:
+class CutFormulaReport(NamedTuple):
     """High-order T(1, y) coefficients against the bond-count expression."""
 
     k: int

@@ -16,9 +16,8 @@ without listing the trees or reading the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Polymatroid, _once
 from .graphs import Graph, _component_table, _components
@@ -211,8 +210,7 @@ def double_cycle_threshold(H: Hypergraph) -> int | None:
     )
 
 
-@dataclass(frozen=True)
-class GirthPrefixRow:
+class GirthPrefixRow(NamedTuple):
     k: int
     interior_binomial: bool
     girth_reaches: bool
@@ -222,8 +220,7 @@ class GirthPrefixRow:
         return self.interior_binomial == self.girth_reaches
 
 
-@dataclass(frozen=True)
-class HypergraphStructureReport:
+class HypergraphStructureReport(NamedTuple):
     """Connectivity-level structure against the polymatroid-level one."""
 
     split_threshold: int | None

@@ -14,11 +14,10 @@ shared by every check that reads it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .activity import polynomial_pair
 from .core import Polymatroid, RankTable, ValidationError, _check_axioms, _once
@@ -184,8 +183,7 @@ def _check_exchange(masks: Sequence[int]) -> None:
                     raise BaseExchangeError(elements_of(a), elements_of(b), low.bit_length())
 
 
-@dataclass(frozen=True)
-class TuttePolynomial:
+class TuttePolynomial(NamedTuple):
     """Two-variable coefficient grid; grid[i][j] is the x^i y^j coefficient."""
 
     grid: tuple[tuple[int, ...], ...]
@@ -234,8 +232,7 @@ def tutte_polynomial(M: Matroid) -> TuttePolynomial:
     return TuttePolynomial(tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class MatroidPolynomialReport:
+class MatroidPolynomialReport(NamedTuple):
     """Cross-check of the activity route against the Tutte oracle."""
 
     interior: Polynomial

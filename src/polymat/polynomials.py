@@ -8,8 +8,6 @@ polynomial in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -20,13 +18,31 @@ def _trimmed(coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    coeffs: tuple[int, ...]
-    var: str = field(default="y", compare=False)
+    """Immutable; ``coeffs`` has its trailing zeros trimmed, and ``var`` is not compared."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs or (0,)))
+    __slots__ = ("coeffs", "var")
+
+    def __init__(self, coeffs: tuple[int, ...], var: str = "y"):
+        object.__setattr__(self, "coeffs", _trimmed(coeffs or (0,)))
+        object.__setattr__(self, "var", var)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r}, var={self.var!r})"
+
+    def __reduce__(self):
+        return type(self), (self.coeffs, self.var)
 
     @property
     def degree(self) -> int:

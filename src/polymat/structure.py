@@ -18,10 +18,9 @@ threshold maps are computed once per polymatroid, as read-only mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .activity import polynomial_pair
 from .core import Polymatroid, _once
@@ -238,8 +237,7 @@ def is_unimodal(seq) -> bool:
 # -- aggregate views ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureSummary:
+class StructureSummary(NamedTuple):
     flats: tuple[int, ...]
     hyperplanes: Mapping[int, frozenset[int]]
     circuits: Mapping[int, frozenset[int]]
@@ -259,8 +257,7 @@ def structure_summary(P: Polymatroid) -> StructureSummary:
     )
 
 
-@dataclass(frozen=True)
-class PrefixEquivalence:
+class PrefixEquivalence(NamedTuple):
     """Two pairs of equivalent statements about pure-binomial prefixes.
 
     Exterior: coefficients 0..k are the pure binomials iff every

@@ -11,7 +11,7 @@ Frontend suites add their own independent oracles on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .activity import (
     check_duality,
@@ -39,8 +39,7 @@ from .structure import (
 from .subsets import complement
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

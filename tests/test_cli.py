@@ -487,3 +487,26 @@ def test_every_command_survives_mutated_samples(capsys, tmp_path, sample):
             assert code in (0, 1, 2), (command, text)
             assert "Traceback" not in err, (command, text)
             assert time.perf_counter() - start < 5, (command, text)
+
+
+def _modules_after(code):
+    """Which of dataclasses, inspect and json are imported after ``code`` in a fresh interpreter, and its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    probe = "\nprint(*(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules), file=sys.stderr)"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, polymat.cli\n" + code + probe],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split()), done.stdout
+
+
+def test_cold_start_imports_neither_dataclasses_nor_json():
+    assert _modules_after("") == (set(), "")
+    sample = str(SAMPLES / "coverage5.rank-table")
+    loaded, out = _modules_after(f"polymat.cli.main(['poly', {sample!r}])")
+    assert "json" not in loaded
+    assert out.startswith("interior 1 ")
+    loaded, out = _modules_after(f"polymat.cli.main(['poly', '--machine', {sample!r}])")
+    assert "json" in loaded
+    assert json.loads(out)["command"] == "poly"
