@@ -10,11 +10,11 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
-from operator import gt, lt, mul, sub
+from itertools import accumulate, compress
+from operator import gt, lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Polymatroid, _once, _split
+from .core import Polymatroid, _once, _packed, _shifted, _split
 from .polynomials import Polynomial
 
 
@@ -83,6 +83,7 @@ def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
                 walk(child, t + 1, c, a, d)
 
     walk(len(edges) - 1, 0, 0, 0, 0)
+    del walk  # it refers to itself: free it now, not at a cyclic collection
     return _sweep(codes, weights, P.n)
 
 
@@ -101,29 +102,30 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     coordinate t.  A second route to the same polynomial as
     ``exterior_polynomial``; the recursion bottoms out at one element,
     where the polynomial is 1.  The first step moves ``element`` to the top;
-    the recursion then runs on plain value tuples and adds plain coefficient
-    lists, and one ``Polynomial`` is built at the root.  Slices often share a rank
-    table, so each table, pivoting on the top element, is expanded once per
-    call; nothing is kept between calls.  By submodularity the lowest pin's
-    slice is the deletion f(I) itself, so only the pins above it take the min.
+    the recursion then runs on ``_packed`` tables, whose halves are C-level
+    slices and whose contraction is one ``_shifted``, and adds plain
+    coefficient lists; one ``Polynomial`` is built at the root.  Slices often
+    share a rank table, so each table, pivoting on the top element, is expanded
+    once per call; the memo is freed on return.  By submodularity the lowest
+    pin's slice is the deletion f(I) itself, so only the pins above it take the min.
     """
     if element is None:
         element = P.n
     P._check_element(element)
-    expanded: dict[tuple[int, ...], list[int]] = {}
+    expanded: dict[bytes | tuple[int, ...], list[int]] = {}
 
-    def expand(values: tuple[int, ...]) -> list[int]:
+    def expand(values: bytes | tuple[int, ...]) -> list[int]:
         if values not in expanded:
             total = [1]
             half = len(values) // 2
             if half > 1:
                 without, within = values[:half], values[half:]  # f(I), f(I + top)
                 lowest = values[-1] - without[-1]
-                total = list(expand(tuple(map(sub, within, repeat(within[0])))))
+                total = list(expand(_shifted(within, within[0])))
                 for j in range(lowest, within[0]):
                     child = expand(
                         without if j == lowest
-                        else tuple(map(min, without, map(sub, within, repeat(j))))
+                        else type(values)(map(min, without, _shifted(within, j)))
                     )
                     total += [0] * (len(child) + 1 - len(total))
                     for k, c in enumerate(child, 1):  # y * child
@@ -132,7 +134,9 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
         return expanded[values]
 
     without, within = _split(P.table.values, element)
-    return Polynomial(tuple(expand(tuple(without + within))), "y")
+    total = expand(_packed(without + within))
+    del expand  # it refers to itself: free the memo now, not at a cyclic collection
+    return Polynomial(tuple(total), "y")
 
 
 def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import repeat
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -199,6 +199,27 @@ def _once(compute):
     return cached
 
 
+# _DOWN[j] maps each byte b to b - j (mod 256): ``bytes.translate`` shifts a table down by j.
+_R = bytes(range(256))
+_DOWN = [_R[256 - j :] + _R[: 256 - j] for j in range(256)]
+
+
+def _packed(values: Sequence[int]) -> bytes | tuple[int, ...]:
+    """A slice-walk table: ``bytes`` (C-speed slices, cached hash) when every value fits a byte."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return tuple(values)
+
+
+def _shifted(values: bytes | tuple[int, ...], j: int) -> bytes | tuple[int, ...]:
+    """Every value minus j, in the same packing; the walks only shift by at most
+    the least value (monotonicity), so nothing goes negative."""
+    if type(values) is bytes:
+        return values.translate(_DOWN[j])
+    return tuple(map(sub, values, repeat(j)))
+
+
 def _split(values: Sequence[int], t: int) -> tuple[list[int], list[int]]:
     """(f(I), f(I + t)) over the subsets I of the other elements, renumbered downward.
 
@@ -303,30 +324,33 @@ class Polymatroid:
         and the highest pin's is the contraction f(I + 1) - f({1}), so only
         the pins between them take the min.
 
+        Tables are ``_packed``: the even and odd entries are C-level slices, the
+        contraction one ``_shifted``, and a ``bytes`` memo key caches its hash.
         Many prefixes reach the same slice, so each distinct table is one node;
         a one-element table (0, a) is a leaf edge (a, None).  A node at depth
         t - 1 pins element t.  Only the edges are kept, not the tables.
         """
-        node_of: dict[tuple[int, ...], int] = {}
+        node_of: dict[bytes | tuple[int, ...], int] = {}
         edges: list[tuple[tuple[int, int | None], ...]] = []
 
-        def node(vals: tuple[int, ...]) -> int:
+        def node(vals: bytes | tuple[int, ...]) -> int:
             if vals not in node_of:
                 if len(vals) > 2:
                     without, within = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
                     lowest, top = vals[-1] - vals[-2], within[0]
                     slices = [without]
-                    slices += [tuple(map(min, without, map(sub, within, repeat(j))))
+                    slices += [type(vals)(map(min, without, _shifted(within, j)))
                                for j in range(lowest + 1, top)]
                     if top > lowest:
-                        slices.append(tuple(map(sub, within, repeat(top))))
+                        slices.append(_shifted(within, top))
                     edges.append(tuple((j, node(vs)) for j, vs in enumerate(slices, lowest)))
                 else:
                     edges.append(((vals[1], None),))
                 node_of[vals] = len(edges) - 1
             return node_of[vals]
 
-        node(self.table.values)
+        node(_packed(self.table.values))
+        del node  # it refers to itself: free the memo now, not at a cyclic collection
         return tuple(edges)
 
     @_once
@@ -343,6 +367,7 @@ class Polymatroid:
                     walk(prefix + (j,), child)
 
         walk((), len(edges) - 1)
+        del walk
         return tuple(out)
 
     def basis_count(self) -> int:
@@ -368,14 +393,11 @@ class Polymatroid:
 
     @_once
     def dual(self) -> Polymatroid:
-        """Rank table f*(I) = f([n] \\ I) - f([n]) + sum of singleton ranks over I."""
-        n = self.n
-        values = self.table.values
-        singles = self._singleton_sums()
-        dual_values = [
-            values[complement(m, n)] - self.full_rank + singles[m] for m in iter_masks(n)
-        ]
-        return Polymatroid._trusted(n, dual_values)
+        """Rank table f*(I) = f([n] \\ I) - f([n]) + sum of singleton ranks over I.
+
+        Mask [n] \\ I is full - I, so the first term is the table read backwards."""
+        dual_values = map(add, self.table.values[::-1], self._singleton_sums())
+        return Polymatroid._trusted(self.n, map(sub, dual_values, repeat(self.full_rank)))
 
     def grounded(self) -> Polymatroid:
         """The translate of this polymatroid whose coordinate minima are zero.

@@ -84,6 +84,7 @@ def _component_table(vertex_count: int, edge_vertex_masks: Sequence[int]) -> tup
             extend(chosen | 1 << k, k + 1, joined, c)
 
     extend(0, 0, "".join(map(chr, range(vertex_count))), vertex_count)
+    del extend  # it refers to itself: free the table now, not at a cyclic collection
     return tuple(table)
 
 
@@ -146,6 +147,7 @@ class Graph:
         if not self.is_connected():
             return ()
         extend(0, 0, 0, "".join(map(chr, range(self.vertex_count))))
+        del extend
         return tuple(sorted(out))
 
     @_once

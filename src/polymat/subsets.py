@@ -7,6 +7,8 @@ ints and convert to element tuples only at reporting boundaries.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -68,9 +70,10 @@ def iter_masks(n: int) -> range:
 
 
 def subset_sums(weights: Sequence[int]) -> list[int]:
-    """Sum of ``weights[e - 1]`` over the elements e of every mask, indexed by mask."""
-    sums = [0] * (1 << len(weights))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
+    """Sum of ``weights[e - 1]`` over the elements e of every mask, indexed by mask.
+
+    Doubling: the masks with element t on top are those below bit(t), plus its weight."""
+    sums = [0]
+    for w in weights:
+        sums += list(map(add, sums, repeat(w)))
     return sums

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -55,3 +56,15 @@ def small_corpus(full_corpus) -> list[Polymatroid]:
 @pytest.fixture(scope="session")
 def wide_instances() -> list[Polymatroid]:
     return wide_corpus()
+
+
+@pytest.fixture
+def gc_off():
+    """Automatic collection off for one test, so ``gc.collect()`` counts the
+    unreachable objects a call leaves behind in reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if enabled:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from polymat import (
     Graph,
     Polymatroid,
     Polynomial,
+    RankTable,
     activity,
     check_duality,
     check_permutation_invariance,
@@ -20,7 +22,9 @@ from polymat import (
     translate,
 )
 
-from generators import coverage_table, ladder_tables
+from polymat.core import _packed
+
+from generators import coverage_table, ladder_tables, seeded_multigraphs
 from oracles import brute_bases, brute_polynomial_counts
 
 LADDER = ladder_tables()
@@ -130,8 +134,6 @@ def test_polynomial_pair_is_computed_once(example5):
 
 
 def test_slice_recursion_base_case():
-    from polymat import RankTable
-
     P = Polymatroid(RankTable(1, [0, 3]))
     assert exterior_by_slices(P).coeffs == (1,)
     assert interior_by_slices(P).coeffs == (1,)
@@ -257,3 +259,53 @@ def test_point_set_rejects_bad_input():
         point_set_polynomials([], 2)
     with pytest.raises(ValueError):
         point_set_polynomials([(1, 2, 3)], 2)
+
+
+WALKS = {
+    "basis-dag": lambda P: P._basis_dag(),
+    "bases": lambda P: P.bases(),
+    "polynomial-pair": polynomial_pair,
+    "exterior-by-slices": lambda P: exterior_by_slices(P, 3),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_walks_leave_no_cyclic_garbage(walk, gc_off):
+    # Each walk recurses through a closure that names itself; if that cycle
+    # outlived the call, its memo would wait for a cyclic collection.
+    P = Polymatroid(RankTable(7, [min(m.bit_count(), 3) for m in range(1 << 7)]))  # U(3,7)
+    gc.collect()
+    walk(P)
+    assert gc.collect() == 0
+
+
+def lifted(P: Polymatroid, c: int) -> Polymatroid:
+    """f + c|I|: the bases of f shifted by c in every coordinate."""
+    values = [v + c * m.bit_count() for m, v in enumerate(P.table.values)]
+    return Polymatroid(RankTable(P.n, values))
+
+
+def assert_tuple_path_matches_bytes_path(P: Polymatroid, c: int = 256) -> None:
+    # Past one byte the walks fall back to tuple tables; shifting every
+    # basis by c changes neither polynomial.
+    Q = lifted(P, c)
+    assert type(_packed(P.table.values)) is bytes
+    assert type(_packed(Q.table.values)) is tuple
+    pair = polynomial_pair(P)
+    assert polynomial_pair(Q) == pair
+    for t in range(1, P.n + 1):
+        assert exterior_by_slices(Q, t) == exterior_by_slices(P, t) == pair[1]
+    assert Q.bases() == tuple(tuple(a + c for a in b) for b in P.bases())
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_tuple_tables_match_bytes_tables_on_coverage_tables(n):
+    assert_tuple_path_matches_bytes_path(Polymatroid(coverage_table(*COVERAGE[n])))
+
+
+SMALL_MULTIGRAPHS = [G for G in seeded_multigraphs() if G.edge_count <= 10]
+
+
+@pytest.mark.parametrize("G", SMALL_MULTIGRAPHS, ids=lambda G: f"{G.edge_count}-edges")
+def test_tuple_tables_match_bytes_tables_on_cycle_matroids(G):
+    assert_tuple_path_matches_bytes_path(G.cycle_matroid().to_polymatroid(), c=300)

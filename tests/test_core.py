@@ -18,7 +18,8 @@ from polymat import (
     translate,
 )
 import polymat.core
-from polymat.core import ValidationError, _first_violation
+from polymat.core import ValidationError, _first_violation, _packed, _shifted
+from polymat.subsets import complement
 
 from generators import coverage_table, ladder_tables
 from oracles import brute_bases, leaf_checked_bases, minor_ranks
@@ -240,6 +241,28 @@ def test_grounded_translates_minima_to_zero(small_corpus):
         assert not any(G.coord_min)
         if not any(low):
             assert G is P
+
+
+def test_dual_table_matches_its_definition(wide_instances):
+    # f*(I) = f(E - I) - f(E) + sum of singleton ranks over I, mask by mask,
+    # against the table the dual reads backwards.
+    cases = [P.table for P in wide_instances] + [coverage_table(n, 10, 3, n) for n in (9, 10)]
+    for table in cases:
+        P = Polymatroid(table)
+        n, f = P.n, table.values
+        expected = tuple(
+            f[complement(m, n)] - f[-1] + sum(f[1 << t] for t in range(n) if m >> t & 1)
+            for m in range(1 << n)
+        )
+        assert P.dual().table.values == expected
+
+
+def test_walk_tables_are_bytes_up_to_255_and_tuples_past_it():
+    assert _packed([0, 1, 255]) == b"\x00\x01\xff"
+    assert _packed((0, 1, 256)) == (0, 1, 256)
+    for j in (0, 1, 17, 255):
+        assert _shifted(bytes(range(j, 256)), j) == bytes(range(256 - j))
+    assert _shifted((256, 300, 1000), 256) == (0, 44, 744)
 
 
 def test_dual_of_reference(example5):

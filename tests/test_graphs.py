@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -9,7 +10,7 @@ import networkx
 import pytest
 import sympy
 
-from polymat.activity import polynomial_pair
+from polymat.activity import exterior_by_slices, interior_by_slices, polynomial_pair
 from polymat.core import Polymatroid, RankTable
 from polymat.graphs import Graph, cut_formula_check
 from polymat.hypergraphs import Hypergraph
@@ -445,3 +446,56 @@ def test_graph_polynomials_match_networkx_tutte(edge_count):
         interior, exterior = polynomial_pair(M.to_polymatroid())
         assert interior == Polynomial(tuple(reversed(at_y1)), "x"), edges
         assert exterior == Polynomial(tuple(reversed(at_x1)), "y"), edges
+
+
+# Interior I(x), exterior X(y) and cut-formula rows (i, coefficient of y^(nullity - i)
+# in T(1, y)) for i up to (3 * edge connectivity - 1) // 2, frozen from networkx 3.6.1:
+# networkx.tutte_polynomial expanded by sympy.Poly, I(x) = x^r T(1/x, 1) and
+# X(y) = y^(m - r) T(1, 1/y).  networkx takes 0.3-2.8 s per graph, so the values are literals.
+PINNED_GRAPHS = {
+    "K6": (6, list(itertools.combinations(range(1, 7), 2))),
+    "Petersen": (10, [(i, i % 5 + 1) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+                 + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]),
+    "Q3": (8, [(u + 1, u + 1 + b) for u in range(8) for b in (1, 2, 4) if not u & b]),
+    "K4,4": (8, [(u, v) for u in range(1, 5) for v in range(5, 9)]),
+}
+NETWORKX_PINS = {
+    "K6": ((1, 10, 55, 200, 470, 560), (1, 5, 15, 35, 70, 120, 180, 240, 270, 240, 120),
+           ((0, 1), (1, 5), (2, 15), (3, 35), (4, 70), (5, 120), (6, 180), (7, 240))),
+    "Petersen": ((1, 6, 21, 56, 126, 240, 380, 480, 450, 240), (1, 9, 45, 155, 390, 696, 704),
+                 ((0, 1), (1, 9), (2, 45), (3, 155), (4, 390))),
+    "Q3": ((1, 5, 15, 35, 64, 96, 104, 64), (1, 7, 28, 76, 139, 133),
+           ((0, 1), (1, 7), (2, 28), (3, 76), (4, 139))),
+    "K4,4": ((1, 9, 45, 165, 459, 963, 1383, 1071), (1, 7, 28, 84, 202, 406, 684, 964, 1045, 675),
+             ((0, 1), (1, 7), (2, 28), (3, 84), (4, 202), (5, 406))),
+}
+
+
+@pytest.mark.parametrize("name", NETWORKX_PINS)
+def test_direct_and_slice_routes_match_frozen_networkx_values(name):
+    interior, exterior, rows = NETWORKX_PINS[name]
+    interior, exterior = Polynomial(interior, "x"), Polynomial(exterior, "y")
+    G = Graph(*PINNED_GRAPHS[name])
+    P = G.cycle_matroid().to_polymatroid()
+    assert polynomial_pair(P) == (interior, exterior)
+    for t in range(1, P.n + 1):
+        assert exterior_by_slices(P, t) == exterior
+        assert interior_by_slices(P, t) == interior
+    report = cut_formula_check(G, G.edge_connectivity() - 1)
+    assert tuple((row.i, row.coefficient) for row in report.rows) == rows
+    assert tuple((row.i, row.formula) for row in report.rows) == rows
+    assert report.threshold_bound_ok
+
+
+GRAPH_WALKS = {
+    "spanning-tree-masks": lambda G: G.spanning_tree_masks(),
+    "component-table": lambda G: graphs._component_table(G.vertex_count, G._edge_masks()),
+}
+
+
+@pytest.mark.parametrize("walk", GRAPH_WALKS.values(), ids=GRAPH_WALKS.keys())
+def test_graph_walks_leave_no_cyclic_garbage(walk, gc_off):
+    G = k5()
+    gc.collect()
+    walk(G)
+    assert gc.collect() == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polymat import bit, complement, elements_of, full_mask, iter_masks, mask_of
@@ -50,3 +52,9 @@ def test_roundtrip_all_masks():
 def test_subset_sums():
     assert subset_sums([]) == [0]
     assert subset_sums([2, 5, 1]) == [0, 2, 5, 7, 1, 3, 6, 8]
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_subset_sums_match_the_sum_over_each_mask(n):
+    weights = [random.Random(n).randint(-3, 300) for _ in range(n)]
+    assert subset_sums(weights) == [sum(weights[e - 1] for e in elements_of(m)) for m in iter_masks(n)]
