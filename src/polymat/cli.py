@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from .activity import exterior_by_slices, interior_by_slices, polynomial_pair
 from .core import DEFAULT_MAX_GROUND_SET, Polymatroid, RankTable, SizeLimitError
@@ -41,7 +42,7 @@ from .structure import (
     structure_summary,
 )
 from .subsets import elements_of
-from .verify import verify_graph, verify_hypergraph, verify_matroid, verify_polymatroid
+from .verify import CheckResult, verify_graph, verify_hypergraph, verify_matroid, verify_polymatroid
 
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in _COMMANDS.items())
@@ -89,8 +90,11 @@ def _size_cap(args, default: int, size: int, what: str) -> None:
         )
 
 
-def _build_object(doc: InputDocument, args) -> tuple[object, Polymatroid]:
-    """The frontend object named by the document and its polymatroid, behind size guards.
+def _build_object(
+    doc: InputDocument, args
+) -> tuple[Polymatroid, dict, Callable[[], list[CheckResult]]]:
+    """The document's polymatroid behind size guards, its ``validate`` summary
+    fields, and its ``verify`` suite.
 
     Graphs and hypergraphs raise here when disconnected.
     """
@@ -98,28 +102,23 @@ def _build_object(doc: InputDocument, args) -> tuple[object, Polymatroid]:
         _size_cap(args, DEFAULT_MAX_GROUND_SET, doc.n, "ground-set size")
         # The parser checked range, duplicates and totality, and listed the entries in mask order.
         P = Polymatroid(RankTable(doc.n, [v for _, v in doc.entries], max_n=doc.n))
-        return P, P
+        return P, {}, lambda: verify_polymatroid(P)
     if isinstance(doc, GraphDocument):
         _size_cap(args, DEFAULT_MAX_ELEMENTS, len(doc.edges), "edge count")
         G = Graph(doc.vertex_count, doc.edges)
-        return G, G.cycle_matroid().to_polymatroid()
+        fields = {"vertices": G.vertex_count, "edges": G.edge_count, "connected": True}
+        return G.cycle_matroid().to_polymatroid(), fields, lambda: verify_graph(G)
     if isinstance(doc, MatroidDocument):
         _size_cap(args, DEFAULT_MAX_ELEMENTS, doc.n, "ground-set size")
         M = Matroid(doc.n, doc.bases)
-        return M, M.to_polymatroid()
+        fields = {"elements": M.n, "rank": M.rank, "bases": len(M.base_masks)}
+        return M.to_polymatroid(), fields, lambda: verify_matroid(M)
     if isinstance(doc, HypergraphDocument):
         _size_cap(args, DEFAULT_MAX_GROUND_SET, len(doc.hyperedges), "hyperedge count")
         H = Hypergraph(doc.vertices, doc.hyperedges)
-        return H, H.to_polymatroid()
+        fields = {"vertices": H.vertex_count, "hyperedges": H.edge_count, "connected": True}
+        return H.to_polymatroid(), fields, lambda: verify_hypergraph(H)
     raise TypeError(f"unhandled document {doc!r}")
-
-
-def _emit(args, lines: list[str], payload: dict) -> None:
-    if args.machine:
-        import json  # only --machine pays for the encoder's import
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
 
 
 def _subset_lists(masks) -> list[list[int]]:
@@ -130,85 +129,55 @@ def _family_payload(groups: dict[int, frozenset[int]]) -> dict[str, list[list[in
     return {str(j): _subset_lists(s) for j, s in groups.items() if s}
 
 
-def _poly_payload(poly: Polynomial) -> dict:
-    return {"coefficients": list(poly.coeffs), "pretty": poly.pretty()}
-
-
 # -- commands -----------------------------------------------------------
+# Each takes (document, polymatroid, summary fields, verify suite, options) and
+# returns (text lines, JSON payload, exit code); ``main`` prints one of the two.
 
 
-def _cmd_validate(doc, obj, P, args) -> int:
+def _cmd_validate(doc, P, fields, suite, args):
     """parse the document and check its defining axioms"""
     lines = [f"valid {doc.kind}"]
-    payload = {"command": "validate", "kind": doc.kind, "valid": True}
-    if isinstance(obj, Graph):
-        lines.append(f"vertices {obj.vertex_count} edges {obj.edge_count} connected")
-        payload.update(vertices=obj.vertex_count, edges=obj.edge_count, connected=True)
-    elif isinstance(obj, Matroid):
-        lines.append(f"elements {obj.n} rank {obj.rank} bases {len(obj.base_masks)}")
-        payload.update(elements=obj.n, rank=obj.rank, bases=len(obj.base_masks))
-    elif isinstance(obj, Hypergraph):
-        lines.append(
-            f"vertices {obj.vertex_count} hyperedges {obj.edge_count} connected"
-        )
-        payload.update(
-            vertices=obj.vertex_count, hyperedges=obj.edge_count, connected=True
-        )
+    if fields:
+        lines.append(" ".join(k if v is True else f"{k} {v}" for k, v in fields.items()))
     lines.append(f"ground-set {P.n} full-rank {P.full_rank}")
-    payload.update(ground_set=P.n, full_rank=P.full_rank)
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"valid": True, **fields, "ground_set": P.n, "full_rank": P.full_rank}, 0
 
 
-def _cmd_bases(doc, obj, P, args) -> int:
+def _cmd_bases(doc, P, fields, suite, args):
     """list every basis vector"""
     bases = P.bases()
     lines = [f"bases {len(bases)}"]
-    payload = {"command": "bases", "kind": doc.kind, "count": len(bases)}
+    payload = {"count": len(bases)}
     if args.machine:
         payload["bases"] = [list(b) for b in bases]
     else:
         row = " ".join(["%d"] * P.n)
         lines += [row % b for b in bases]
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload, 0
 
 
-def _compute_polynomials(P: Polymatroid, args) -> dict[str, Polynomial]:
+def _cmd_poly(doc, P, fields, suite, args):
+    """compute the interior and/or exterior polynomial"""
     if args.element is not None and args.method != "recursion":
         print("warning: --element only affects --method recursion", file=sys.stderr)
-    out: dict[str, Polynomial] = {}
+    names = ("interior", "exterior") if args.kind == "both" else (args.kind,)
     if args.method == "direct":
-        interior, exterior = polynomial_pair(P)
-        if args.kind in ("interior", "both"):
-            out["interior"] = interior
-        if args.kind in ("exterior", "both"):
-            out["exterior"] = exterior
+        pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
+        polys = [pair[name] for name in names]
     else:
-        if args.kind in ("interior", "both"):
-            out["interior"] = interior_by_slices(P, args.element)
-        if args.kind in ("exterior", "both"):
-            out["exterior"] = exterior_by_slices(P, args.element)
-    return out
-
-
-def _cmd_poly(doc, obj, P, args) -> int:
-    """compute the interior and/or exterior polynomial"""
-    polys = _compute_polynomials(P, args)
+        routes = {"interior": interior_by_slices, "exterior": exterior_by_slices}
+        polys = [routes[name](P, args.element) for name in names]
     lines = []
-    payload = {"command": "poly", "kind": doc.kind, "method": args.method}
-    for name in ("interior", "exterior"):
-        if name not in polys:
-            continue
-        poly = polys[name]
+    payload = {"method": args.method}
+    for name, poly in zip(names, polys):
+        pretty = poly.pretty()
         lines.append(f"{name} " + " ".join(map(str, poly.coeffs)))
-        lines.append(f"{name}-pretty {poly.pretty()}")
-        payload[name] = _poly_payload(poly)
-    _emit(args, lines, payload)
-    return 0
+        lines.append(f"{name}-pretty {pretty}")
+        payload[name] = {"coefficients": list(poly.coeffs), "pretty": pretty}
+    return lines, payload, 0
 
 
-def _cmd_structure(doc, obj, P, args) -> int:
+def _cmd_structure(doc, P, fields, suite, args):
     """report flats, set families, and thresholds"""
     summary = structure_summary(P)
     lines = [
@@ -231,8 +200,6 @@ def _cmd_structure(doc, obj, P, args) -> int:
                 members = " ".join(_subset_text(elements_of(m)) for m in sorted(groups[j]))
                 lines.append(f"{label} {j} count {len(groups[j])}: {members}")
     payload = {
-        "command": "structure",
-        "kind": doc.kind,
         "ground_set": P.n,
         "full_rank": P.full_rank,
         "full_deficiency": summary.full_deficiency,
@@ -242,8 +209,7 @@ def _cmd_structure(doc, obj, P, args) -> int:
         "hyperplanes": _family_payload(summary.hyperplanes),
         "circuits": _family_payload(summary.circuits),
     }
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload, 0
 
 
 def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
@@ -264,7 +230,7 @@ def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
     return rows
 
 
-def _cmd_coeffs(doc, obj, P, args) -> int:
+def _cmd_coeffs(doc, P, fields, suite, args):
     """compare closed-form coefficients against enumeration"""
     interior, exterior = polynomial_pair(P)
     sections = []
@@ -277,7 +243,7 @@ def _cmd_coeffs(doc, obj, P, args) -> int:
             ("exterior", exterior, exterior_coefficient_formula, exterior_formula_range(P))
         )
     lines = []
-    payload = {"command": "coeffs", "kind": doc.kind}
+    payload = {}
     failed = False
     for name, poly, formula, valid_range in sections:
         rows = _coeff_rows(P, poly, formula, valid_range)
@@ -294,20 +260,12 @@ def _cmd_coeffs(doc, obj, P, args) -> int:
         payload[name] = {"guaranteed_range": valid_range, "rows": rows}
     payload["passed"] = not failed
     lines.append("coeffs " + ("ok" if not failed else "FAILED: in-range mismatch"))
-    _emit(args, lines, payload)
-    return 1 if failed else 0
+    return lines, payload, 1 if failed else 0
 
 
-def _cmd_verify(doc, obj, P, args) -> int:
+def _cmd_verify(doc, P, fields, suite, args):
     """run the full identity suite for the input"""
-    if isinstance(obj, Graph):
-        checks = verify_graph(obj)
-    elif isinstance(obj, Matroid):
-        checks = verify_matroid(obj)
-    elif isinstance(obj, Hypergraph):
-        checks = verify_hypergraph(obj)
-    else:
-        checks = verify_polymatroid(P)
+    checks = suite()
     lines = []
     for check in checks:
         if check.passed:
@@ -317,15 +275,12 @@ def _cmd_verify(doc, obj, P, args) -> int:
     good = sum(1 for c in checks if c.passed)
     lines.append(f"verify {good}/{len(checks)} checks passed")
     payload = {
-        "command": "verify",
-        "kind": doc.kind,
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ],
         "passed": good == len(checks),
     }
-    _emit(args, lines, payload)
-    return 0 if good == len(checks) else 1
+    return lines, payload, 0 if good == len(checks) else 1
 
 
 _COMMANDS = {
@@ -343,8 +298,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         doc = parse_document(_read_input(args.file))
-        obj, P = _build_object(doc, args)
-        return _COMMANDS[args.command](doc, obj, P, args)
+        P, fields, suite = _build_object(doc, args)
+        lines, payload, code = _COMMANDS[args.command](doc, P, fields, suite, args)
+        if args.machine:
+            import json  # only --machine pays for the encoder's import
+            print(json.dumps({**payload, "command": args.command, "kind": doc.kind},
+                             sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        return code
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2

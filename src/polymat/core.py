@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import repeat
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -302,15 +302,7 @@ class Polymatroid:
             return False
         if sum(vector) != self.full_rank:
             return False
-        values = self.table.values
-        sums = [0] * (1 << self.n)
-        for m in range(1, 1 << self.n):
-            low = m & -m
-            s = sums[m ^ low] + vector[low.bit_length() - 1]
-            if s > values[m]:
-                return False
-            sums[m] = s
-        return True
+        return all(map(le, subset_sums(vector), self.table.values))
 
     @_once
     def _basis_dag(self) -> tuple[tuple[tuple[int, int | None], ...], ...]:

@@ -286,9 +286,11 @@ def structure_report(H: Hypergraph) -> HypergraphStructureReport:
 def printed_prefix_binomial(H: Hypergraph, i: int) -> int:
     """The degree-sum form binom(sum deg - |E| - |V| + i - 2, i).
 
-    Kept for reporting next to the deficiency form binom(g + i - 1, i);
-    on connected input the full deficiency g equals the degree sum
-    minus |E| and |V| plus one, so the printed first argument sits two
+    A library-only reference for the binomial as printed in degree-sum
+    terms; no command reports it, and the girth rows of
+    ``structure_report`` test the deficiency form binom(g + i - 1, i)
+    instead.  On connected input the full deficiency g equals the degree
+    sum minus |E| and |V| plus one, so the printed first argument sits two
     below the deficiency form's, and only the deficiency form matches
     enumeration.
     """

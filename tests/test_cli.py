@@ -10,12 +10,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 import polymat.cli as cli
 from polymat import Polymatroid, RankTable
-from polymat.documents import RankTableDocument, emit_document
+from polymat.documents import GraphDocument, MatroidDocument, RankTableDocument, emit_document
 from polymat.polynomials import Polynomial
 from polymat.subsets import elements_of
 from polymat.verify import CheckResult
@@ -415,6 +416,82 @@ def test_output_is_deterministic(capsys, table_file):
     _, first, _ = run(capsys, ["structure", "--machine", table_file])
     _, second, _ = run(capsys, ["structure", "--machine", table_file])
     assert first == second
+
+
+_AGREEMENT_DOCUMENTS = {
+    **{p.name: p.read_text() for p in sorted(SAMPLES.iterdir())},
+    "k5.graph": emit_document(GraphDocument(5, tuple(combinations(range(1, 6), 2)))),
+    "u24.matroid": emit_document(MatroidDocument(4, tuple(combinations(range(1, 5), 2)))),
+}
+
+
+def _fields(text):
+    """'key value key flag ...' as {key: int value, or True for a bare key}."""
+    tokens, fields = text.split(), {}
+    while tokens:
+        key = tokens.pop(0)
+        fields[key] = int(tokens.pop(0)) if tokens and tokens[0].isdigit() else True
+    return fields
+
+
+def _thresholds(entries):
+    return " ".join(f"{k}:{v}" for k, v in sorted(entries.items(), key=lambda kv: int(kv[0])))
+
+
+@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
+@pytest.mark.parametrize("name", tuple(_AGREEMENT_DOCUMENTS))
+def test_text_and_machine_output_agree(capsys, tmp_path, name, command):
+    path = tmp_path / name
+    path.write_text(_AGREEMENT_DOCUMENTS[name])
+    code, text, _ = run(capsys, [command, str(path)])
+    machine_code, out, _ = run(capsys, [command, "--machine", str(path)])
+    payload = json.loads(out)
+    lines = text.splitlines()
+    assert code == machine_code
+    assert (payload["command"], payload["kind"]) == (command, name.split(".")[1])
+    if command == "validate":
+        assert lines[0] == f"valid {payload['kind']}"
+        fields = {k.replace("_", "-"): v for k, v in payload.items()
+                  if k not in ("command", "kind", "valid")}
+        assert _fields(" ".join(lines[1:])) == fields
+    elif command == "bases":
+        rows = [" ".join(map(str, b)) for b in payload["bases"]]
+        assert lines == [f"bases {payload['count']}"] + rows
+    elif command == "poly":
+        assert lines == [
+            line
+            for side in ("interior", "exterior")
+            for line in (f"{side} " + " ".join(map(str, payload[side]["coefficients"])),
+                         f"{side}-pretty {payload[side]['pretty']}")
+        ]
+    elif command == "structure":
+        assert lines[:6] == [
+            f"ground-set {payload['ground_set']}",
+            f"full-rank {payload['full_rank']}",
+            f"full-deficiency {payload['full_deficiency']}",
+            "rank-drop-thresholds " + _thresholds(payload["rank_drop_thresholds"]),
+            "deficiency-thresholds " + _thresholds(payload["deficiency_thresholds"]),
+            f"flats {len(payload['flats'])}",
+        ]
+    elif command == "coeffs":
+        expected = []
+        for side in ("interior", "exterior"):
+            expected.append(f"{side} guaranteed-range {payload[side]['guaranteed_range']}")
+            expected += [
+                f"{side} i={r['i']} formula {r['formula']} enumerated {r['enumerated']} "
+                + ("in-range " if r["in_range"] else "flagged ")
+                + ("match" if r["match"] else "differs")
+                for r in payload[side]["rows"]
+            ]
+        expected.append("coeffs ok" if payload["passed"] else "coeffs FAILED: in-range mismatch")
+        assert lines == expected
+    else:
+        checks = payload["checks"]
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS" if c["passed"] else "FAIL", c["name"]] for c in checks
+        ]
+        good = sum(c["passed"] for c in checks)
+        assert lines[-1] == f"verify {good}/{len(checks)} checks passed"
 
 
 _ODD_DOCUMENTS = {

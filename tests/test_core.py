@@ -207,6 +207,23 @@ def test_greedy_basis_is_a_basis(full_corpus):
         assert P.is_member(P.greedy_basis())
 
 
+@pytest.mark.parametrize("n", range(6, 11))
+def test_is_member_matches_basis_list_on_one_step_probes(n):
+    # Past the random corpus's n <= 5: every basis and every a - e_i + e_j.
+    P = Polymatroid(coverage_table(n, 4, 2, n))
+    bases = set(P.bases())
+    probes = set(bases)
+    for b in bases:
+        for i, j in itertools.permutations(range(n), 2):
+            probe = list(b)
+            probe[i] -= 1
+            probe[j] += 1
+            probes.add(tuple(probe))
+    assert len(probes) > len(bases)
+    for probe in probes:
+        assert P.is_member(probe) == (probe in bases), probe
+
+
 def test_dual_bases_are_reflections(small_corpus):
     # The dual's lattice points are exactly (singleton ranks) - (points).
     for P in small_corpus:

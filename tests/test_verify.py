@@ -54,6 +54,18 @@ def test_polymatroid_suite_on_reference(example5):
     }
 
 
+def test_basis_count_check_catches_a_corrupted_basis_dag(example5):
+    # Drop the first leaf from a fresh copy's cached DAG: 14 of the 17 bases remain.
+    P = Polymatroid(example5.table)
+    dag = P._basis_dag()
+    key = next(k for k, v in vars(P).items() if v is dag)
+    vars(P)[key] = ((),) + dag[1:]
+    assert P.basis_count() == 14
+    checks = {c.name: c for c in verify_polymatroid(P)}
+    assert not checks["basis-count-consistency"].passed
+    assert checks["basis-count-consistency"].detail == "interior(1)=14 exterior(1)=14 bases=17"
+
+
 def test_polymatroid_suite_on_random_instances():
     rng = random.Random(61)
     for _ in range(25):
