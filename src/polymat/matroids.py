@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from itertools import compress, filterfalse
 from math import comb
-from operator import or_
+from operator import or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .activity import polynomial_pair
@@ -28,7 +29,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import bits, by_size, complement, elements_of, full_mask, iter_masks, mask_of
+from .subsets import bits, by_size, elements_of, full_mask, iter_masks, mask_of
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -108,18 +109,15 @@ class Matroid:
     def _fundamental_sets(self, pivot_in_base: bool) -> frozenset[int]:
         """Fundamental cocircuits (pivot p in a base B) or circuits (p outside B).
 
-        Each is p plus every q across B with B ^ p ^ q a base; all of them arise so.
+        Each distinct exchange core C (B - p or B + p) is probed once: the set
+        is every x with C ^ x a base.  All of them arise so.  An x on the wrong
+        side of C leaves |B| - 2 or |B| + 2 elements, never a base.
         """
         base_set = set(self.base_masks)
         every = full_mask(self.n)
-        out = set()
-        for b in self.base_masks:
-            pivots, partners = (b, every ^ b) if pivot_in_base else (every ^ b, b)
-            partners = list(bits(partners))
-            for p in bits(pivots):
-                swapped = b ^ p
-                out.add(p | sum([q for q in partners if swapped ^ q in base_set]))
-        return frozenset(out)
+        singles = [1 << i for i in range(self.n)]
+        cores = {b ^ p for b in self.base_masks for p in bits(b if pivot_in_base else every ^ b)}
+        return frozenset(sum([x for x in singles if c ^ x in base_set]) for c in cores)
 
     def hyperplanes(self) -> frozenset[int]:
         """Flats of rank one less than the matroid rank: the complements of the cocircuits."""
@@ -140,14 +138,9 @@ class Matroid:
         return by_size(self.circuits(), self.n)
 
     def rank_drop_threshold(self, k: int) -> int | None:
-        """Smallest removal set whose complement drops the rank by exactly k."""
-        best = None
-        for m in iter_masks(self.n):
-            if self.subset_rank(complement(m, self.n)) == self.rank - k:
-                size = m.bit_count()
-                if best is None or size < best:
-                    best = size
-        return best
+        """Smallest removal set R with rank(E - R) = rank - k, read off the table backwards."""
+        exact = compress(iter_masks(self.n), map((self.rank - k).__eq__, reversed(self._ranks)))
+        return min(map(int.bit_count, exact), default=None)
 
     def nullity_threshold(self, k: int, *, without_loops: bool = False) -> int | None:
         """Smallest subset whose nullity (size minus rank) is exactly k.
@@ -157,15 +150,10 @@ class Matroid:
         polymatroid view, where rank-zero elements contribute nothing.
         """
         skip = self.loop_mask() if without_loops else 0
-        best = None
-        for m in iter_masks(self.n):
-            if m & skip:
-                continue
-            if m.bit_count() - self.subset_rank(m) == k:
-                size = m.bit_count()
-                if best is None or size < best:
-                    best = size
-        return best
+        masks = iter_masks(self.n)
+        nullities = map(sub, map(int.bit_count, masks), self._ranks)
+        exact = filterfalse(skip.__and__, compress(masks, map(k.__eq__, nullities)))
+        return min(map(int.bit_count, exact), default=None)
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.base_masks)})"
@@ -215,16 +203,17 @@ class TuttePolynomial(NamedTuple):
 def tutte_polynomial(M: Matroid) -> TuttePolynomial:
     """Corank-nullity expansion over the 2^n subsets of the rank table; once per matroid.
 
-    The subsets are counted by (corank, nullity) pair first, and each
-    distinct pair's term (x - 1)^corank (y - 1)^nullity is expanded once,
-    times its count.  Reads the table the matroid already holds, so it
+    The subsets are counted by (rank, size) pair first, which fixes corank
+    and nullity, and each distinct pair's term (x - 1)^corank (y - 1)^nullity
+    is expanded once, times its count.  Reads the table the matroid already holds, so it
     needs no size guard of its own: the input's size guard bounds both.
     """
     d = M.rank
     width = M.n - d
-    pairs = Counter((d - r, m.bit_count() - r) for m, r in enumerate(M._ranks))
+    pairs = Counter(zip(M._ranks, map(int.bit_count, iter_masks(M.n))))
     grid = [[0] * (width + 1) for _ in range(d + 1)]
-    for (a, b), count in pairs.items():
+    for (r, size), count in pairs.items():
+        a, b = d - r, size - r
         for k in range(a + 1):
             ca = count * comb(a, k) * (-1) ** (a - k)
             for l in range(b + 1):

@@ -14,16 +14,25 @@ Both coefficient formulas are exact strictly below the respective
 second threshold; outside that range they may still be evaluated, but
 only with an explicit ``unchecked`` flag.  The two families and the two
 threshold maps are computed once per polymatroid, as read-only mappings.
+
+The 2^n-mask scans are whole-table passes.  The thresholds read the
+distinct (level, size) pairs from one ``set`` of ``zip``.  The families
+hold a set of masks as lanes: one int with one 0/1 byte per mask, byte m
+for mask m.  Mask m + t sits 2^(t-1) bytes above m, so one shift and one
+``&`` per element find the members with a one-larger superset in the set;
+read backwards (byte order "big"), the same shifts find one-smaller subsets.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
+from operator import sub
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .activity import polynomial_pair
-from .core import Polymatroid, _once
+from .core import _DOWN, Polymatroid, _once, _packed
 from .subsets import bit, bits, by_size, complement, elements_of, full_mask, iter_masks
 
 
@@ -69,8 +78,9 @@ def is_flat(P: Polymatroid, mask: int) -> bool:
 
 
 def flats(P: Polymatroid) -> tuple[int, ...]:
-    """All flats, ascending by mask."""
-    return tuple(m for m in iter_masks(P.n) if is_flat(P, m))
+    """All flats, ascending by mask: the masks with no one-larger superset of equal rank."""
+    values = _packed(P.table.values)
+    return tuple(_maximal(values, set(values), P.n))
 
 
 @_once
@@ -78,17 +88,9 @@ def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
     """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object.
 
     A mask of rank r - 1 is such a flat when adding any missing element
-    raises its rank; f(m + t) is r - 1 or r, so the test stops at the
-    first element that keeps the rank.
+    raises its rank: no one-larger superset also has rank r - 1.
     """
-    target = P.full_rank - 1
-    values = P.table.values
-    full = full_mask(P.n)
-    found = (
-        m
-        for m, v in enumerate(values)
-        if v == target and all(values[m | b] > target for b in bits(full ^ m))
-    )
+    found = _maximal(_packed(P.table.values), [P.full_rank - 1], P.n)
     return MappingProxyType(by_size(found, P.n, lambda m: P.n - m.bit_count()))
 
 
@@ -105,15 +107,13 @@ def full_deficiency(P: Polymatroid) -> int:
 
 
 def circuit_family(P: Polymatroid) -> frozenset[int]:
-    """Subsets of deficiency exactly 1 all of whose proper subsets are tight."""
-    sums = P._singleton_sums()
-    values = P.table.values
-    return frozenset(
-        m
-        for m in range(1, 1 << P.n)
-        if sums[m] - values[m] == 1
-        and all(sums[m ^ low] == values[m ^ low] for low in bits(m))
-    )
+    """Subsets of deficiency exactly 1 all of whose proper subsets are tight.
+
+    Deficiency is monotone, so these are the masks of deficiency 1 with no
+    one-smaller subset of deficiency 1: on backward lanes, the maximal ones.
+    """
+    gaps = map(sub, P._singleton_sums(), P.table.values)
+    return frozenset(_maximal(gaps, [1], P.n, "big"))
 
 
 @_once
@@ -131,15 +131,15 @@ def rank_drop_thresholds(P: Polymatroid) -> Mapping[int, int]:
 
     Missing drops are genuinely absent: the map simply has no such key.
     """
-    levels = ((P.full_rank - v, P.n - m.bit_count()) for m, v in enumerate(P.table.values))
-    return _threshold_scan(levels, P.full_rank, P.n)
+    pairs = set(zip(P.table.values, map(int.bit_count, iter_masks(P.n))))
+    return _threshold_scan([(P.full_rank - v, P.n - size) for v, size in pairs], P.full_rank, P.n)
 
 
 @_once
 def deficiency_thresholds(P: Polymatroid) -> Mapping[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency); once per object."""
-    sums = P._singleton_sums()
-    levels = ((s - v, m.bit_count()) for m, (s, v) in enumerate(zip(sums, P.table.values)))
+    gaps = map(sub, P._singleton_sums(), P.table.values)
+    levels = set(zip(gaps, map(int.bit_count, iter_masks(P.n))))
     return _threshold_scan(levels, full_deficiency(P), P.n)
 
 
@@ -155,6 +155,36 @@ def _threshold_scan(levels, top: int, n: int) -> Mapping[int, int]:
     for k in range(top - 1, -1, -1):
         best[k] = min(best[k], best[k + 1])
     return MappingProxyType(dict(enumerate(best)))
+
+
+# -- lanes: a set of masks as one int, one 0/1 byte per mask ------------
+
+_ZERO = b"\1" + bytes(255)  # ``bytes.translate`` table: 1 for a zero byte, else 0
+
+
+def _maximal(values: Iterable[int], levels, n: int, order: str = "little") -> Iterator[int]:
+    """The masks at one of ``levels`` with no one-larger superset at the same level, ascending.
+
+    ``values`` holds one value per mask, in mask order, and is read once per
+    level; a ``bytes`` table is translated.  For t = n down to 1, the lanes
+    that hold t, shifted down 2^(t-1) bytes, mark the masks below them; one
+    selector of those lanes is kept, its runs halved at each step.  Order
+    "big" puts mask m at lane full - m, so one-smaller subsets are tested.
+    """
+    found = 0
+    for level in levels:
+        if type(values) is bytes and 0 <= level < 256:
+            lanes = int.from_bytes(values.translate(_DOWN[level]).translate(_ZERO), order)
+        else:
+            lanes = int.from_bytes(bytes(map(level.__eq__, values)), order)
+        below, run = 0, 1 << (n - 1)
+        holds = int.from_bytes(bytes(run) + b"\1" * run, "little")  # the masks that hold element n
+        while run:
+            below |= (lanes & holds) >> (8 * run)
+            run >>= 1
+            holds ^= holds >> (8 * run)  # runs of `run` ones: the masks that hold the next element
+        found |= lanes & ~below
+    return compress(iter_masks(n), found.to_bytes(1 << n, order))
 
 
 # -- coefficient formulas -----------------------------------------------

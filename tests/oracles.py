@@ -284,6 +284,25 @@ def minimal_circuits(n, ranks) -> frozenset[int]:
     )
 
 
+def per_mask_thresholds(levels, sizes) -> dict[int, int]:
+    """k -> least size of a mask whose level is at least k, for k = 0..max level.
+
+    ``levels`` and ``sizes`` are lists indexed by mask.  One pass over every
+    mask keeps the least size at each level; a pass over k from the top
+    carries the minimum down.
+    """
+    least = {}
+    for level, size in zip(levels, sizes):
+        if level not in least or size < least[level]:
+            least[level] = size
+    out, best = {}, None
+    for k in range(max(levels), -1, -1):
+        if k in least and (best is None or least[k] < best):
+            best = least[k]
+        out[k] = best
+    return dict(sorted(out.items()))
+
+
 def rank_zero_loops(n, ranks) -> int:
     """Mask of the elements whose singleton has rank zero."""
     return sum(1 << t for t in range(n) if ranks[1 << t] == 0)

@@ -314,6 +314,31 @@ def test_verify_failure_exits_1(capsys, table_file, monkeypatch):
     assert "verify 0/1 checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "family, bridge",
+    [("hyperplane_sets", "matroid-hyperplane-bridge"), ("circuit_sets", "matroid-circuit-bridge")],
+)
+def test_verify_fails_a_bridge_whose_rank_table_side_loses_a_member(
+    capsys, monkeypatch, family, bridge
+):
+    # Each bridge compares the base-list family with the rank-table one, so
+    # with one member dropped from the rank-table side that bridge alone fails.
+    import polymat.matroids
+
+    computed = getattr(polymat.matroids, family)
+
+    def short(P):
+        groups = dict(computed(P))
+        j = min(j for j, group in groups.items() if group)
+        groups[j] = frozenset(sorted(groups[j])[1:])
+        return groups
+
+    monkeypatch.setattr(polymat.matroids, family, short)
+    code, out, _ = run(capsys, ["verify", str(SAMPLES / "k4.graph")])
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [bridge]
+
+
 # -- size guards and input handling ----------------------------------------------
 
 

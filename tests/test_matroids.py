@@ -228,11 +228,29 @@ def graph_case(G) -> tuple[Matroid, list[int]]:
     return G.cycle_matroid(), ranks
 
 
+def per_base_pivot(M: Matroid, pivot_in_base: bool) -> frozenset[int]:
+    """Fundamental cocircuits or circuits, one (base, pivot) pair at a time:
+    the pivot p plus every q across the base B with B ^ p ^ q a base."""
+    base_set = set(M.base_masks)
+    full = (1 << M.n) - 1
+    out = set()
+    for b in M.base_masks:
+        pivots, partners = (b, full ^ b) if pivot_in_base else (full ^ b, b)
+        for p in (1 << t for t in range(M.n) if pivots >> t & 1):
+            out.add(p | sum(
+                1 << t for t in range(M.n) if partners >> t & 1 and b ^ p ^ 1 << t in base_set
+            ))
+    return frozenset(out)
+
+
 @pytest.mark.parametrize("family", ["graphs", "uniform", "rank-zero"])
 def test_base_list_families_match_rank_scans(family):
     # The matroid reads its families off the base list; the oracles scan
     # every mask of an independently computed rank list for closed sets of
-    # rank r - 1, minimal dependent sets and rank-zero singletons.
+    # rank r - 1, minimal dependent sets and rank-zero singletons.  Probing
+    # each distinct exchange core once must give the per-(base, pivot)
+    # families, and the thresholds must match a per-mask exact-level scan.
+    # The graphs have loops, parallel edges and coloops.
     cases = {
         "graphs": lambda: [graph_case(G) for G in seeded_multigraphs()],
         "uniform": lambda: [uniform(r, n) for n in range(6, 11) for r in (1, n // 2, n - 1)],
@@ -242,6 +260,17 @@ def test_base_list_families_match_rank_scans(family):
         assert M.hyperplanes() == closure_hyperplanes(M.n, ranks), M
         assert M.circuits() == minimal_circuits(M.n, ranks), M
         assert M.loop_mask() == rank_zero_loops(M.n, ranks), M
+        assert M._fundamental_sets(True) == per_base_pivot(M, True), M
+        assert M._fundamental_sets(False) == per_base_pivot(M, False), M
+        n, full, loops = M.n, (1 << M.n) - 1, M.loop_mask()
+        sizes = [bin(m).count("1") for m in range(1 << n)]
+        for k in range(n + 2):
+            drops = [sizes[m] for m in range(1 << n) if ranks[full ^ m] == ranks[-1] - k]
+            assert M.rank_drop_threshold(k) == min(drops, default=None), (M, k)
+            for without_loops in (False, True):
+                skip = loops if without_loops else 0
+                exact = [sizes[m] for m in range(1 << n) if not m & skip and sizes[m] - ranks[m] == k]
+                assert M.nullity_threshold(k, without_loops=without_loops) == min(exact, default=None)
 
 
 def test_bridges_catch_a_base_list_that_disagrees_with_the_ranks():

@@ -9,6 +9,7 @@ from polymat import (
     binom,
     complement,
     binomial_prefix_check,
+    circuit_family,
     circuit_sets,
     closure,
     deficiency,
@@ -31,8 +32,14 @@ from polymat import (
     structure_summary,
 )
 
-from generators import ladder_tables
-from oracles import brute_prefix_conditions, brute_unimodal
+from generators import coverage_table, doubled_k5_table, ladder_tables
+from oracles import (
+    brute_prefix_conditions,
+    brute_unimodal,
+    closure_hyperplanes,
+    minimal_circuits,
+    per_mask_thresholds,
+)
 
 
 def _family(P, groups):
@@ -100,6 +107,35 @@ def test_reference_circuit_sets(example5):
         2: {(1, 2), (2, 3), (2, 4), (2, 5)},
         3: {(1, 3, 4), (1, 3, 5)},
     }
+
+
+def test_families_and_thresholds_match_brute_definitions_at_n6_to_10(wide_instances):
+    # The wide corpus and three n = 9-10 tables, each also scaled by 300 so
+    # that its values pass 255 and its families come from tuple-packed lanes.
+    tables = [P.table for P in wide_instances]
+    tables += [coverage_table(9, 8, 3, 3), coverage_table(10, 10, 3, 10), doubled_k5_table()]
+    for table in tables:
+        for scale in (1, 300):
+            n = table.n
+            ranks = [scale * v for v in table.values]
+            P = Polymatroid(RankTable(n, ranks))
+            sizes = [bin(m).count("1") for m in range(1 << n)]
+            gaps = [
+                sum(ranks[1 << t] for t in range(n) if m >> t & 1) - ranks[m]
+                for m in range(1 << n)
+            ]
+            assert frozenset().union(*hyperplane_sets(P).values()) == closure_hyperplanes(n, ranks)
+            # Deficiency zero plays independence; a circuit also needs deficiency one.
+            tight = [size - gap for size, gap in zip(sizes, gaps)]
+            assert circuit_family(P) == {m for m in minimal_circuits(n, tight) if gaps[m] == 1}
+            assert flats(P) == tuple(
+                m
+                for m in range(1 << n)
+                if all(m >> t & 1 or ranks[m | 1 << t] > ranks[m] for t in range(n))
+            )
+            drops = [ranks[-1] - v for v in ranks]
+            assert rank_drop_thresholds(P) == per_mask_thresholds(drops, [n - s for s in sizes])
+            assert deficiency_thresholds(P) == per_mask_thresholds(gaps, sizes)
 
 
 def test_reference_thresholds(example5):
