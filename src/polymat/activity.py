@@ -201,14 +201,32 @@ def _sweep(codes: dict, weights: Sequence[int], n: int) -> tuple[Polynomial, Pol
 
 
 class DualityReport(NamedTuple):
+    """Both polynomials of P against the swapped pair of its dual.
+
+    Each check's name, condition and detail are stated once, in ``checks()``."""
+
     interior: Polynomial
     exterior: Polynomial
     dual_interior: Polynomial
     dual_exterior: Polynomial
 
+    def checks(self) -> list[tuple[str, bool, str]]:
+        return [
+            (
+                "interior-equals-dual-exterior",
+                self.interior == self.dual_exterior,
+                f"{self.interior.coeffs} vs {self.dual_exterior.coeffs}",
+            ),
+            (
+                "exterior-equals-dual-interior",
+                self.exterior == self.dual_interior,
+                f"{self.exterior.coeffs} vs {self.dual_interior.coeffs}",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.interior == self.dual_exterior and self.exterior == self.dual_interior
+        return all(ok for _, ok, _ in self.checks())
 
 
 def check_duality(P: Polymatroid) -> DualityReport:

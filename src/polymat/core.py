@@ -66,16 +66,21 @@ class SubmodularityError(ValidationError):
         self.j = j
 
 
+def _check_ground_set(n: int, max_n: int) -> None:
+    """Refuse a ground-set size before any work on its 2^n subsets."""
+    if n < 1:
+        raise ValueError("ground-set size must be a positive integer")
+    if n > max_n:
+        raise SizeLimitError(f"ground-set size {n} exceeds the limit {max_n}")
+
+
 class RankTable:
     """Total map from subsets of {1..n} to integers, stored densely by mask."""
 
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: Iterable[int], *, max_n: int = DEFAULT_MAX_GROUND_SET):
-        if n < 1:
-            raise ValueError("ground-set size must be a positive integer")
-        if n > max_n:
-            raise SizeLimitError(f"ground-set size {n} exceeds the limit {max_n}")
+        _check_ground_set(n, max_n)
         vals = tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} rank values for n = {n}, got {len(vals)}")
@@ -101,6 +106,7 @@ class RankTable:
         max_n: int = DEFAULT_MAX_GROUND_SET,
     ) -> "RankTable":
         """Tabulate ``fn`` over all subsets; ``fn`` receives element tuples."""
+        _check_ground_set(n, max_n)
         return cls(n, [fn(elements_of(m)) for m in iter_masks(n)], max_n=max_n)
 
     @classmethod
@@ -115,6 +121,7 @@ class RankTable:
 
         Keys are element collections (tuples, frozensets, ...).
         """
+        _check_ground_set(n, max_n)
         values: list = [None] * (1 << n)
         for key, value in entries.items():
             m = mask_of(key, n)

@@ -246,7 +246,9 @@ class CutFormulaRow(NamedTuple):
 
 
 class CutFormulaReport(NamedTuple):
-    """High-order T(1, y) coefficients against the bond-count expression."""
+    """High-order T(1, y) coefficients against the bond-count expression.
+
+    Each check's name, condition and detail are stated once, in ``checks()``."""
 
     k: int
     nullity: int
@@ -254,9 +256,19 @@ class CutFormulaReport(NamedTuple):
     rows: tuple[CutFormulaRow, ...]
     threshold_bound_ok: bool
 
+    def checks(self) -> list[tuple[str, bool, str]]:
+        return [
+            (
+                "cut-count-coefficients",
+                all(row.matches for row in self.rows),
+                f"rows {[(row.i, row.formula, row.coefficient) for row in self.rows]}",
+            ),
+            ("cut-threshold-bound", self.threshold_bound_ok, ""),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.threshold_bound_ok and all(r.matches for r in self.rows)
+        return all(ok for _, ok, _ in self.checks())
 
 
 def cut_formula_check(G: Graph, k: int) -> CutFormulaReport:

@@ -221,7 +221,9 @@ class GirthPrefixRow(NamedTuple):
 
 
 class HypergraphStructureReport(NamedTuple):
-    """Connectivity-level structure against the polymatroid-level one."""
+    """Connectivity-level structure against the polymatroid-level one.
+
+    Each check's name, condition and detail are stated once, in ``checks()``."""
 
     split_threshold: int | None
     rank_drop_threshold: int | None
@@ -236,16 +238,35 @@ class HypergraphStructureReport(NamedTuple):
     girth: int | None
     girth_rows: tuple[GirthPrefixRow, ...]
 
+    def checks(self) -> list[tuple[str, bool, str]]:
+        return [
+            (
+                "split-threshold-bridge",
+                self.split_threshold == self.rank_drop_threshold,
+                f"{self.split_threshold} vs {self.rank_drop_threshold}",
+            ),
+            ("two-component-family-bridge", self.two_component == self.hyperplane_complements, ""),
+            ("unique-cycle-family-bridge", self.unique_cycle == self.circuits, ""),
+            (
+                "double-cycle-threshold-bridge",
+                self.double_cycle_threshold == self.deficiency_threshold,
+                f"{self.double_cycle_threshold} vs {self.deficiency_threshold}",
+            ),
+            (
+                "degree-sum-deficiency-offset",
+                self.full_deficiency == self.degree_sum_nullity + 1,
+                f"{self.full_deficiency} vs {self.degree_sum_nullity}",
+            ),
+            (
+                "girth-binomial-prefix",
+                all(row.matches for row in self.girth_rows),
+                f"rows {[(row.k, row.interior_binomial, row.girth_reaches) for row in self.girth_rows]}",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.split_threshold == self.rank_drop_threshold
-            and self.two_component == self.hyperplane_complements
-            and self.unique_cycle == self.circuits
-            and self.double_cycle_threshold == self.deficiency_threshold
-            and self.full_deficiency == self.degree_sum_nullity + 1
-            and all(row.matches for row in self.girth_rows)
-        )
+        return all(ok for _, ok, _ in self.checks())
 
 
 def structure_report(H: Hypergraph) -> HypergraphStructureReport:

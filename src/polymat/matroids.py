@@ -222,7 +222,9 @@ def tutte_polynomial(M: Matroid) -> TuttePolynomial:
 
 
 class MatroidPolynomialReport(NamedTuple):
-    """Cross-check of the activity route against the Tutte oracle."""
+    """Cross-check of the activity route against the Tutte oracle.
+
+    Each check's name, condition and detail are stated once, in ``checks()``."""
 
     interior: Polynomial
     exterior: Polynomial
@@ -235,17 +237,20 @@ class MatroidPolynomialReport(NamedTuple):
     hyperplane_bridge: bool
     circuit_bridge: bool
 
+    def checks(self) -> list[tuple[str, bool, str]]:
+        return [
+            ("tutte-exterior-reversal", self.exterior_matches, ""),
+            ("tutte-interior-reversal", self.interior_matches, ""),
+            ("tutte-basis-count", self.count_matches, ""),
+            ("matroid-rank-drop-bridge", self.rank_drop_bridge, ""),
+            ("matroid-nullity-bridge", self.nullity_bridge, ""),
+            ("matroid-hyperplane-bridge", self.hyperplane_bridge, ""),
+            ("matroid-circuit-bridge", self.circuit_bridge, ""),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.exterior_matches
-            and self.interior_matches
-            and self.count_matches
-            and self.rank_drop_bridge
-            and self.nullity_bridge
-            and self.hyperplane_bridge
-            and self.circuit_bridge
-        )
+        return all(ok for _, ok, _ in self.checks())
 
 
 def check_matroid_polynomials(M: Matroid) -> MatroidPolynomialReport:

@@ -7,6 +7,10 @@ first coefficients), the threshold and family correspondences under
 dualization, the coefficient formulas over their guaranteed ranges,
 relabeling invariance, and unimodality of the guaranteed prefixes.
 Frontend suites add their own independent oracles on top.
+
+Each check's name, condition and detail are written once: in
+``verify_polymatroid`` and the frontend suites here, or in a bridge
+report's ``checks()``, whose list the report's ``passed`` also reads.
 """
 
 from __future__ import annotations
@@ -94,21 +98,7 @@ def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
         _result("slice-recursion-all-elements", not bad_t, f"mismatch at elements {bad_t}")
     )
 
-    duality = check_duality(P)
-    checks.append(
-        _result(
-            "interior-equals-dual-exterior",
-            duality.interior == duality.dual_exterior,
-            f"{duality.interior.coeffs} vs {duality.dual_exterior.coeffs}",
-        )
-    )
-    checks.append(
-        _result(
-            "exterior-equals-dual-interior",
-            duality.exterior == duality.dual_interior,
-            f"{duality.exterior.coeffs} vs {duality.dual_interior.coeffs}",
-        )
-    )
+    checks += [_result(*c) for c in check_duality(P).checks()]
 
     dual = P.dual()
     r = rank_drop_thresholds(P)
@@ -202,14 +192,7 @@ def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
 
 def verify_matroid(M: Matroid) -> list[CheckResult]:
     checks = verify_polymatroid(M.to_polymatroid())
-    report = check_matroid_polynomials(M)
-    checks.append(_result("tutte-exterior-reversal", report.exterior_matches))
-    checks.append(_result("tutte-interior-reversal", report.interior_matches))
-    checks.append(_result("tutte-basis-count", report.count_matches))
-    checks.append(_result("matroid-rank-drop-bridge", report.rank_drop_bridge))
-    checks.append(_result("matroid-nullity-bridge", report.nullity_bridge))
-    checks.append(_result("matroid-hyperplane-bridge", report.hyperplane_bridge))
-    checks.append(_result("matroid-circuit-bridge", report.circuit_bridge))
+    checks += [_result(*c) for c in check_matroid_polynomials(M).checks()]
     return checks
 
 
@@ -232,15 +215,7 @@ def verify_graph(G: Graph) -> list[CheckResult]:
     )
     ec = G.edge_connectivity()
     if ec is not None and ec >= 1:
-        report = cut_formula_check(G, ec - 1)
-        checks.append(
-            _result(
-                "cut-count-coefficients",
-                all(row.matches for row in report.rows),
-                f"rows {[ (row.i, row.formula, row.coefficient) for row in report.rows ]}",
-            )
-        )
-        checks.append(_result("cut-threshold-bound", report.threshold_bound_ok))
+        checks += [_result(*c) for c in cut_formula_check(G, ec - 1).checks()]
     return checks
 
 
@@ -255,45 +230,5 @@ def verify_hypergraph(H: Hypergraph) -> list[CheckResult]:
             f"{sorted(trees)} vs {sorted(P.bases())}",
         )
     )
-    report = structure_report(H)
-    checks.append(
-        _result(
-            "split-threshold-bridge",
-            report.split_threshold == report.rank_drop_threshold,
-            f"{report.split_threshold} vs {report.rank_drop_threshold}",
-        )
-    )
-    checks.append(
-        _result(
-            "two-component-family-bridge",
-            report.two_component == report.hyperplane_complements,
-        )
-    )
-    checks.append(
-        _result(
-            "unique-cycle-family-bridge",
-            report.unique_cycle == report.circuits,
-        )
-    )
-    checks.append(
-        _result(
-            "double-cycle-threshold-bridge",
-            report.double_cycle_threshold == report.deficiency_threshold,
-            f"{report.double_cycle_threshold} vs {report.deficiency_threshold}",
-        )
-    )
-    checks.append(
-        _result(
-            "degree-sum-deficiency-offset",
-            report.full_deficiency == report.degree_sum_nullity + 1,
-            f"{report.full_deficiency} vs {report.degree_sum_nullity}",
-        )
-    )
-    checks.append(
-        _result(
-            "girth-binomial-prefix",
-            all(row.matches for row in report.girth_rows),
-            f"rows {[(row.k, row.interior_binomial, row.girth_reaches) for row in report.girth_rows]}",
-        )
-    )
+    checks += [_result(*c) for c in structure_report(H).checks()]
     return checks

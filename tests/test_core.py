@@ -41,6 +41,21 @@ def test_rank_table_size_guard():
     assert table.rank_of(range(1, 18)) == 17
 
 
+def test_size_guard_runs_before_any_work():
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return len(s)
+
+    with pytest.raises(SizeLimitError):
+        RankTable.from_function(17, counted)
+    assert calls == []
+    # Without the guard first, 2^40 placeholder slots would be allocated.
+    with pytest.raises(SizeLimitError):
+        RankTable.from_subsets(40, {})
+
+
 def test_from_subsets_requires_total_map():
     with pytest.raises(ValueError, match="missing"):
         RankTable.from_subsets(2, {(): 0, (1,): 1, (2,): 1})

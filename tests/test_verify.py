@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 
 import pytest
 
+import polymat.cli as cli
 import polymat.graphs
 import polymat.hypergraphs
+import polymat.verify
 from polymat.core import Polymatroid, _once
-from polymat.graphs import Graph
+from polymat.graphs import CutFormulaRow, Graph
 from polymat.hypergraphs import Hypergraph
 from polymat.matroids import Matroid
+from polymat.polynomials import Polynomial
 from polymat.verify import (
     CheckResult,
     verify_graph,
@@ -194,3 +199,122 @@ def test_check_result_detail_kept_on_failure():
     result = CheckResult("sample", False, "left 1 vs right 2")
     assert not result.passed
     assert result.detail == "left 1 vs right 2"
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+POLYMATROID_NAMES = [
+    "basis-count-consistency",
+    "exterior-constant-term",
+    "exterior-linear-term",
+    "slice-recursion-all-elements",
+    "interior-equals-dual-exterior",
+    "exterior-equals-dual-interior",
+    "threshold-existence-and-monotonicity",
+    "thresholds-swap-under-duality",
+    "circuits-are-dual-hyperplane-complements",
+    "families-empty-below-first-threshold",
+    "exterior-formula-in-range",
+    "interior-formula-in-range",
+    "relabeling-invariance",
+    "unimodal-guaranteed-prefixes",
+]
+MATROID_NAMES = POLYMATROID_NAMES + [
+    "tutte-exterior-reversal",
+    "tutte-interior-reversal",
+    "tutte-basis-count",
+    "matroid-rank-drop-bridge",
+    "matroid-nullity-bridge",
+    "matroid-hyperplane-bridge",
+    "matroid-circuit-bridge",
+]
+GRAPH_NAMES = MATROID_NAMES + [
+    "bonds-are-hyperplane-complements",
+    "cut-count-coefficients",
+    "cut-threshold-bound",
+]
+HYPERGRAPH_NAMES = POLYMATROID_NAMES + [
+    "tree-degree-vectors-match-bases",
+    "split-threshold-bridge",
+    "two-component-family-bridge",
+    "unique-cycle-family-bridge",
+    "double-cycle-threshold-bridge",
+    "degree-sum-deficiency-offset",
+    "girth-binomial-prefix",
+]
+
+
+@pytest.mark.parametrize(
+    "sample, names",
+    [
+        ("coverage5.rank-table", POLYMATROID_NAMES),
+        ("u23.matroid", MATROID_NAMES),
+        ("k4.graph", GRAPH_NAMES),
+        ("triangles.hypergraph", HYPERGRAPH_NAMES),
+        ("parallel-pair.hypergraph", HYPERGRAPH_NAMES),
+    ],
+)
+def test_verify_prints_each_kinds_checks_in_order(capsys, sample, names):
+    code = cli.main(["verify", "--machine", str(SAMPLES / sample)])
+    assert code == 0
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == names
+
+
+# One report per bridge; each break makes exactly one named check fail.
+BROKEN_REPORTS = [
+    (
+        "check_duality",
+        lambda r: r._replace(dual_exterior=Polynomial((1, 2), "y")),
+        "coverage5.rank-table",
+        "FAIL interior-equals-dual-exterior — (1, 5, 8, 3) vs (1, 2)",
+    ),
+    (
+        "check_matroid_polynomials",
+        lambda r: r._replace(hyperplane_bridge=False),
+        "u23.matroid",
+        "FAIL matroid-hyperplane-bridge — ",
+    ),
+    (
+        "cut_formula_check",
+        lambda r: r._replace(rows=(CutFormulaRow(0, 2, 1),) + r.rows[1:]),
+        "k4.graph",
+        "FAIL cut-count-coefficients — rows [(0, 2, 1), (1, 3, 3), (2, 6, 6), (3, 6, 6)]",
+    ),
+    (
+        "cut_formula_check",
+        lambda r: r._replace(threshold_bound_ok=False),
+        "k4.graph",
+        "FAIL cut-threshold-bound — ",
+    ),
+    (
+        "structure_report",
+        lambda r: r._replace(rank_drop_threshold=r.split_threshold + 1),
+        "triangles.hypergraph",
+        "FAIL split-threshold-bridge — 3 vs 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, spoil, sample, line", BROKEN_REPORTS)
+def test_report_passes_exactly_when_its_checks_do(capsys, monkeypatch, name, spoil, sample, line):
+    build = getattr(polymat.verify, name)
+    reports = []
+
+    def spoiled(*args):
+        reports.append(build(*args))
+        reports.append(spoil(reports[0]))
+        return reports[1]
+
+    monkeypatch.setattr(polymat.verify, name, spoiled)
+    code = cli.main(["verify", str(SAMPLES / sample)])
+    out = capsys.readouterr().out.splitlines()
+    sound, broken = reports
+    assert sound.passed and all(ok for _, ok, _ in sound.checks())
+    assert not broken.passed
+    assert [c[0] for c in broken.checks() if not c[1]] == [line.split()[1]]
+    assert [c[0] for c in broken.checks()] == [c[0] for c in sound.checks()]
+    # verify prints that one check as failed, with its detail text.
+    assert code == 1
+    assert [text for text in out if text.startswith("FAIL")] == [line]
+    total = int(out[-1].split("/")[1].split()[0])
+    assert out[-1] == f"verify {total - 1}/{total} checks passed"
