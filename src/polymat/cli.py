@@ -35,11 +35,16 @@ from .hypergraphs import Hypergraph
 from .matroids import DEFAULT_MAX_ELEMENTS, Matroid
 from .polynomials import Polynomial
 from .structure import (
+    circuit_sets,
+    deficiency_thresholds,
     exterior_coefficient_formula,
     exterior_formula_range,
+    flats,
+    full_deficiency,
+    hyperplane_sets,
     interior_coefficient_formula,
     interior_formula_range,
-    structure_summary,
+    rank_drop_thresholds,
 )
 from .subsets import elements_of
 from .verify import CheckResult, verify_graph, verify_hypergraph, verify_matroid, verify_polymatroid
@@ -179,21 +184,20 @@ def _cmd_poly(doc, P, fields, suite, args):
 
 def _cmd_structure(doc, P, fields, suite, args):
     """report flats, set families, and thresholds"""
-    summary = structure_summary(P)
+    found, hyperplanes, circuits = flats(P), hyperplane_sets(P), circuit_sets(P)
+    rank_drop, deficiency, g = rank_drop_thresholds(P), deficiency_thresholds(P), full_deficiency(P)
     lines = [
         f"ground-set {P.n}",
         f"full-rank {P.full_rank}",
-        f"full-deficiency {summary.full_deficiency}",
-        "rank-drop-thresholds "
-        + " ".join(f"{k}:{v}" for k, v in sorted(summary.rank_drop.items())),
-        "deficiency-thresholds "
-        + " ".join(f"{k}:{v}" for k, v in sorted(summary.deficiency.items())),
-        f"flats {len(summary.flats)}",
+        f"full-deficiency {g}",
+        "rank-drop-thresholds " + " ".join(f"{k}:{v}" for k, v in sorted(rank_drop.items())),
+        "deficiency-thresholds " + " ".join(f"{k}:{v}" for k, v in sorted(deficiency.items())),
+        f"flats {len(found)}",
     ]
-    lines.extend(f"flat {_subset_text(elements_of(m))}" for m in summary.flats)
+    lines.extend(f"flat {_subset_text(elements_of(m))}" for m in found)
     for label, groups in (
-        ("hyperplanes complement-size", summary.hyperplanes),
-        ("circuits size", summary.circuits),
+        ("hyperplanes complement-size", hyperplanes),
+        ("circuits size", circuits),
     ):
         for j in sorted(groups):
             if groups[j]:
@@ -202,12 +206,12 @@ def _cmd_structure(doc, P, fields, suite, args):
     payload = {
         "ground_set": P.n,
         "full_rank": P.full_rank,
-        "full_deficiency": summary.full_deficiency,
-        "rank_drop_thresholds": {str(k): v for k, v in summary.rank_drop.items()},
-        "deficiency_thresholds": {str(k): v for k, v in summary.deficiency.items()},
-        "flats": _subset_lists(summary.flats),
-        "hyperplanes": _family_payload(summary.hyperplanes),
-        "circuits": _family_payload(summary.circuits),
+        "full_deficiency": g,
+        "rank_drop_thresholds": {str(k): v for k, v in rank_drop.items()},
+        "deficiency_thresholds": {str(k): v for k, v in deficiency.items()},
+        "flats": _subset_lists(found),
+        "hyperplanes": _family_payload(hyperplanes),
+        "circuits": _family_payload(circuits),
     }
     return lines, payload, 0
 

@@ -109,30 +109,6 @@ class RankTable:
         _check_ground_set(n, max_n)
         return cls(n, [fn(elements_of(m)) for m in iter_masks(n)], max_n=max_n)
 
-    @classmethod
-    def from_subsets(
-        cls,
-        n: int,
-        entries: dict,
-        *,
-        max_n: int = DEFAULT_MAX_GROUND_SET,
-    ) -> "RankTable":
-        """Build from a subset -> rank mapping that must cover every subset.
-
-        Keys are element collections (tuples, frozensets, ...).
-        """
-        _check_ground_set(n, max_n)
-        values: list = [None] * (1 << n)
-        for key, value in entries.items():
-            m = mask_of(key, n)
-            if values[m] is not None:
-                raise ValueError(f"duplicate rank entry for subset {set(key) or '{}'}")
-            values[m] = value
-        for m, v in enumerate(values):
-            if v is None:
-                raise ValueError(f"missing rank entry for subset {set(elements_of(m)) or '{}'}")
-        return cls(n, values, max_n=max_n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankTable):
             return NotImplemented
@@ -384,9 +360,9 @@ class Polymatroid:
         )
 
     @_once
-    def _singleton_sums(self) -> tuple[int, ...]:
-        """Sum of the singleton ranks over every mask, indexed by mask; once per object."""
-        return tuple(subset_sums(self.coord_max))
+    def _singleton_sums(self) -> bytes | tuple[int, ...]:
+        """Sum of the singleton ranks over every mask, by mask and ``_packed``; once per object."""
+        return _packed(subset_sums(self.coord_max))
 
     # -- derived polymatroids -------------------------------------------
 

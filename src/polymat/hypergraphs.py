@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import Polymatroid, _once
 from .graphs import Graph, _component_table, _components
 from .structure import (
-    binom,
     binomial_prefix_check,
     circuit_sets,
     deficiency_thresholds,
@@ -66,11 +65,6 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edge_masks)
 
-    def edge_names(self, idx: int) -> tuple[str, ...]:
-        """Vertex names of hyperedge idx (1-based), in declaration order."""
-        mask = self.edge_masks[idx - 1]
-        return tuple(name for k, name in enumerate(self.vertices) if mask >> k & 1)
-
     def incidence_graph(self) -> Graph:
         """Bipartite incidence graph: vertices first, then one node per hyperedge."""
         nv = self.vertex_count
@@ -90,10 +84,6 @@ class Hypergraph:
         vertex masks counts the same components.
         """
         return _components(full_mask(self.vertex_count), self.edge_masks, edge_subset_mask)
-
-    def edge_subset_rank(self, edge_subset_mask: int) -> int:
-        """|V| minus the restricted component count."""
-        return self.vertex_count - self.restricted_components(edge_subset_mask)
 
     def is_connected(self) -> bool:
         return self.restricted_components(full_mask(self.edge_count)) == 1
@@ -119,10 +109,6 @@ class Hypergraph:
             s - self.vertex_count - m.bit_count() + c
             for m, (s, c) in enumerate(zip(incidences, self._component_counts()))
         )
-
-    def cyclomatic_number(self, edge_subset_mask: int) -> int:
-        """Independent cycles of the incidence graph restricted to the subset."""
-        return self._cycle_counts()[edge_subset_mask]
 
     def tree_degree_vectors(self) -> frozenset[tuple[int, ...]]:
         """Spanning-tree degrees of the hyperedge nodes, each reduced by one.
@@ -164,7 +150,9 @@ def two_component_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     A removal set qualifies when the remaining hyperedges leave two
     components and putting back any single removed hyperedge
     reconnects; grouped by removal-set size.  These are exactly the
-    complements of the hyperplane-like flats of the subset rank.
+    complements of the hyperplane-like flats of the subset rank.  The
+    scan stays per mask: the rank table is |V| minus these same counts, so
+    ``structure._maximal`` here would be the rank-table route itself.
     """
     m = H.edge_count
     counts = H._component_counts()
@@ -183,7 +171,9 @@ def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     One independent cycle overall, and removing any hyperedge leaves a
     forest, i.e. the cycle alternates through every chosen hyperedge
     (length twice the subset size); grouped by subset size.  These are
-    exactly the circuit-like subsets of the subset rank.
+    exactly the circuit-like subsets of the subset rank.  The scan stays
+    per mask: each count equals the subset's singleton-sum deficiency, so
+    ``structure._maximal`` here would be the rank-table route itself.
     """
     cycles = H._cycle_counts()
     found = (
@@ -303,17 +293,3 @@ def structure_report(H: Hypergraph) -> HypergraphStructureReport:
         girth_rows=tuple(rows),
     )
 
-
-def printed_prefix_binomial(H: Hypergraph, i: int) -> int:
-    """The degree-sum form binom(sum deg - |E| - |V| + i - 2, i).
-
-    A library-only reference for the binomial as printed in degree-sum
-    terms; no command reports it, and the girth rows of
-    ``structure_report`` test the deficiency form binom(g + i - 1, i)
-    instead.  On connected input the full deficiency g equals the degree
-    sum minus |E| and |V| plus one, so the printed first argument sits two
-    below the deficiency form's, and only the deficiency form matches
-    enumeration.
-    """
-    degree_sum = sum(mask.bit_count() for mask in H.edge_masks)
-    return binom(degree_sum - H.edge_count - H.vertex_count + i - 2, i)

@@ -142,17 +142,16 @@ class Matroid:
         exact = compress(iter_masks(self.n), map((self.rank - k).__eq__, reversed(self._ranks)))
         return min(map(int.bit_count, exact), default=None)
 
-    def nullity_threshold(self, k: int, *, without_loops: bool = False) -> int | None:
-        """Smallest subset whose nullity (size minus rank) is exactly k.
+    def nullity_threshold(self, k: int) -> int | None:
+        """Smallest loop-free subset whose nullity (size minus rank) is exactly k.
 
-        With ``without_loops`` only loop-free subsets are scanned;
-        that variant matches the singleton-sum deficiency of the
-        polymatroid view, where rank-zero elements contribute nothing.
+        Only loop-free subsets are scanned, which matches the singleton-sum
+        deficiency of the polymatroid view, where rank-zero elements
+        contribute nothing.
         """
-        skip = self.loop_mask() if without_loops else 0
         masks = iter_masks(self.n)
         nullities = map(sub, map(int.bit_count, masks), self._ranks)
-        exact = filterfalse(skip.__and__, compress(masks, map(k.__eq__, nullities)))
+        exact = filterfalse(self.loop_mask().__and__, compress(masks, map(k.__eq__, nullities)))
         return min(map(int.bit_count, exact), default=None)
 
     def __repr__(self) -> str:
@@ -268,9 +267,7 @@ def check_matroid_polynomials(M: Matroid) -> MatroidPolynomialReport:
     interior_matches = interior == T.at_y1().reversed_to(M.rank)
     count_matches = T.evaluate(1, 1) == P.basis_count()
     rank_drop_bridge = rank_drop_thresholds(P).get(2) == M.rank_drop_threshold(2)
-    nullity_bridge = deficiency_thresholds(P).get(2) == M.nullity_threshold(
-        2, without_loops=True
-    )
+    nullity_bridge = deficiency_thresholds(P).get(2) == M.nullity_threshold(2)
     hyperplane_bridge = hyperplane_sets(P) == M.hyperplane_sets()
     # Loop singletons are matroid circuits but carry no singleton-sum
     # deficiency, so the polymatroid family matches the loop-free circuits.

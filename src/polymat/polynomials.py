@@ -59,18 +59,6 @@ class Polynomial:
             total = total * value + c
         return total
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        width = max(len(self.coeffs), len(other.coeffs))
-        mine = self.coeffs + (0,) * (width - len(self.coeffs))
-        theirs = other.coeffs + (0,) * (width - len(other.coeffs))
-        return Polynomial(tuple(a + b for a, b in zip(mine, theirs)), self.var)
-
-    def shifted(self, k: int = 1) -> "Polynomial":
-        """Multiply by var**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Polynomial((0,) * k + self.coeffs, self.var)
-
     def reversed_to(self, degree: int) -> "Polynomial":
         """Reverse the coefficient list after padding it up to ``degree``."""
         if self.degree > degree:

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .activity import polynomial_pair
 from .core import _DOWN, Polymatroid, _once, _packed
-from .subsets import bit, bits, by_size, complement, elements_of, full_mask, iter_masks
+from .subsets import bit, by_size, complement, elements_of, full_mask, iter_masks
 
 
 def binom(a: int, b: int) -> int:
@@ -54,27 +54,7 @@ class FormulaRangeError(ValueError):
     """Coefficient index outside the guaranteed validity range."""
 
 
-# -- closure and flats -------------------------------------------------
-
-
-def closure(P: Polymatroid, mask: int) -> int:
-    """Largest superset with the same rank (submodularity makes it unique)."""
-    base = P.rank(mask)
-    out = mask
-    for t in range(1, P.n + 1):
-        b = bit(t)
-        if not mask & b and P.rank(mask | b) == base:
-            out |= b
-    return out
-
-
-def is_flat(P: Polymatroid, mask: int) -> bool:
-    """``closure(P, mask) == mask``: adding any missing element raises the rank.
-
-    The test stops at the first element that keeps the rank.
-    """
-    base = P.rank(mask)
-    return all(P.rank(mask | b) > base for b in bits(full_mask(P.n) ^ mask))
+# -- flats -------------------------------------------------------------
 
 
 def flats(P: Polymatroid) -> tuple[int, ...]:
@@ -264,27 +244,7 @@ def is_unimodal(seq) -> bool:
     return i + 1 >= len(seq)
 
 
-# -- aggregate views ------------------------------------------------------
-
-
-class StructureSummary(NamedTuple):
-    flats: tuple[int, ...]
-    hyperplanes: Mapping[int, frozenset[int]]
-    circuits: Mapping[int, frozenset[int]]
-    rank_drop: Mapping[int, int]
-    deficiency: Mapping[int, int]
-    full_deficiency: int
-
-
-def structure_summary(P: Polymatroid) -> StructureSummary:
-    return StructureSummary(
-        flats=flats(P),
-        hyperplanes=hyperplane_sets(P),
-        circuits=circuit_sets(P),
-        rank_drop=rank_drop_thresholds(P),
-        deficiency=deficiency_thresholds(P),
-        full_deficiency=full_deficiency(P),
-    )
+# -- binomial prefixes ---------------------------------------------------
 
 
 class PrefixEquivalence(NamedTuple):

@@ -51,16 +51,6 @@ def test_size_guard_runs_before_any_work():
     with pytest.raises(SizeLimitError):
         RankTable.from_function(17, counted)
     assert calls == []
-    # Without the guard first, 2^40 placeholder slots would be allocated.
-    with pytest.raises(SizeLimitError):
-        RankTable.from_subsets(40, {})
-
-
-def test_from_subsets_requires_total_map():
-    with pytest.raises(ValueError, match="missing"):
-        RankTable.from_subsets(2, {(): 0, (1,): 1, (2,): 1})
-    entries = {(): 0, (1,): 1, (2,): 1, (1, 2): 1}
-    assert RankTable.from_subsets(2, entries).rank_of((1, 2)) == 1
 
 
 def test_normalization_error():

@@ -11,14 +11,12 @@ from polymat.activity import exterior_polynomial, interior_polynomial
 from polymat.hypergraphs import (
     Hypergraph,
     double_cycle_threshold,
-    printed_prefix_binomial,
     split_threshold,
     structure_report,
     two_component_families,
     unique_cycle_families,
 )
 from polymat.structure import (
-    binom,
     circuit_sets,
     deficiency_thresholds,
     full_deficiency,
@@ -79,12 +77,6 @@ def test_constructor_rejects_bad_input():
         Hypergraph(("a",), [])
 
 
-def test_edge_names_follow_declaration_order():
-    H = triangle_mix()
-    assert H.edge_names(1) == ("a", "b")
-    assert H.edge_names(4) == ("a", "b", "c")
-
-
 def test_incidence_graph_shape():
     H = triangle_mix()
     bip = H.incidence_graph()
@@ -139,8 +131,6 @@ def test_uncovered_vertices_count_as_components():
     H = Hypergraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert H.restricted_components(0b01) == 2  # {a,b} joined, c alone
     assert H.restricted_components(0) == 3
-    assert H.edge_subset_rank(0b01) == 1
-    assert H.edge_subset_rank(0b11) == 2
 
 
 def test_to_polymatroid_requires_connected():
@@ -150,35 +140,30 @@ def test_to_polymatroid_requires_connected():
         H.to_polymatroid()
 
 
+def cyclomatic_by_definition(H, chosen):
+    # Incidence edges minus nodes plus components, from the brute component count.
+    incidences = sum(H.edge_masks[i].bit_count() for i in range(H.edge_count) if chosen >> i & 1)
+    nodes = H.vertex_count + bin(chosen).count("1")
+    return incidences - nodes + brute_restricted_components(H.vertex_count, H.edge_masks, chosen)
+
+
 def test_cyclomatic_number_matches_definition():
     rng = random.Random(23)
     for _ in range(40):
         H = random_hypergraph(rng)
+        table = H._cycle_counts()
         for chosen in range(1 << H.edge_count):
-            edges = sum(
-                H.edge_masks[i].bit_count()
-                for i in range(H.edge_count)
-                if chosen >> i & 1
-            )
-            nodes = H.vertex_count + bin(chosen).count("1")
-            parts = brute_restricted_components(H.vertex_count, H.edge_masks, chosen)
-            assert H.cyclomatic_number(chosen) == edges - nodes + parts
+            assert table[chosen] == cyclomatic_by_definition(H, chosen)
 
 
 def test_cycle_table_matches_definition_on_six_to_ten_hyperedges():
-    # Incidence edges minus nodes plus components, from the brute component count.
     rng = random.Random(31)
     for edge_count in range(6, 11):
         names = "abcdef"[: rng.randint(3, 6)]
         H = Hypergraph(names, [rng.sample(names, rng.randint(1, 3)) for _ in range(edge_count)])
         table = H._cycle_counts()
         for chosen in range(1 << edge_count):
-            incidences = sum(
-                H.edge_masks[i].bit_count() for i in range(edge_count) if chosen >> i & 1
-            )
-            nodes = H.vertex_count + bin(chosen).count("1")
-            parts = brute_restricted_components(H.vertex_count, H.edge_masks, chosen)
-            assert table[chosen] == incidences - nodes + parts
+            assert table[chosen] == cyclomatic_by_definition(H, chosen)
 
 
 # -- hypertrees ---------------------------------------------------------------
@@ -297,21 +282,6 @@ def test_girth_rows_encode_the_prefix_equivalence():
     for row in report.girth_rows:
         assert row.girth_reaches == (girth is None or girth >= 2 * row.k + 2)
         assert row.matches
-
-
-def test_printed_prefix_binomial_sits_two_below_deficiency_form():
-    for H in (parallel_pair(), triangle_mix()):
-        g = full_deficiency(H.to_polymatroid())
-        for i in range(H.edge_count + 1):
-            assert printed_prefix_binomial(H, i) == binom(g + i - 3, i)
-
-
-def test_printed_prefix_binomial_misses_enumeration():
-    # The degree-sum form is reporting-only: already at i = 1 it returns
-    # 0 for the parallel pair while the interior coefficient is 1.
-    H = parallel_pair()
-    assert printed_prefix_binomial(H, 1) == 0
-    assert interior_polynomial(H.to_polymatroid()).coefficient(1) == 1
 
 
 # -- exhaustive sweep over tiny hypergraphs -----------------------------------

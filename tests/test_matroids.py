@@ -207,8 +207,7 @@ def test_nullity_threshold_loop_handling():
     # Two loops reach plain nullity 2 at size 2, but the loop-free scan
     # (the polymatroid's deficiency view) never sees them.
     M = Matroid(3, [(1,)])
-    assert M.nullity_threshold(2) == 2
-    assert M.nullity_threshold(2, without_loops=True) is None
+    assert M.nullity_threshold(2) is None
     assert check_matroid_polynomials(M).passed
 
 
@@ -267,10 +266,8 @@ def test_base_list_families_match_rank_scans(family):
         for k in range(n + 2):
             drops = [sizes[m] for m in range(1 << n) if ranks[full ^ m] == ranks[-1] - k]
             assert M.rank_drop_threshold(k) == min(drops, default=None), (M, k)
-            for without_loops in (False, True):
-                skip = loops if without_loops else 0
-                exact = [sizes[m] for m in range(1 << n) if not m & skip and sizes[m] - ranks[m] == k]
-                assert M.nullity_threshold(k, without_loops=without_loops) == min(exact, default=None)
+            exact = [sizes[m] for m in range(1 << n) if not m & loops and sizes[m] - ranks[m] == k]
+            assert M.nullity_threshold(k) == min(exact, default=None)
 
 
 def test_bridges_catch_a_base_list_that_disagrees_with_the_ranks():

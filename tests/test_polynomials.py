@@ -24,15 +24,6 @@ def test_evaluation():
     assert p(0) == 1
 
 
-def test_addition_pads():
-    assert (Polynomial((1,)) + Polynomial((0, 2, 1))).coeffs == (1, 2, 1)
-
-
-def test_shifted():
-    assert Polynomial((1, 2)).shifted(2).coeffs == (0, 0, 1, 2)
-    assert Polynomial((1, 2)).shifted(0).coeffs == (1, 2)
-
-
 def test_reversed_to():
     assert Polynomial((6, 6, 3, 1)).reversed_to(3).coeffs == (1, 3, 6, 6)
     assert Polynomial((2, 1)).reversed_to(3).coeffs == (0, 0, 1, 2)

@@ -11,7 +11,6 @@ from polymat import (
     binomial_prefix_check,
     circuit_family,
     circuit_sets,
-    closure,
     deficiency,
     deficiency_thresholds,
     elements_of,
@@ -23,13 +22,11 @@ from polymat import (
     hyperplane_sets,
     interior_coefficient_formula,
     interior_formula_range,
-    is_flat,
     is_unimodal,
     iter_masks,
     mask_of,
     polynomial_pair,
     rank_drop_thresholds,
-    structure_summary,
 )
 
 from generators import coverage_table, doubled_k5_table, ladder_tables
@@ -72,16 +69,6 @@ def test_closure_and_flats_against_definition(small_corpus):
             )
         }
         assert set(flats(P)) == expected
-        for m in iter_masks(P.n):
-            c = closure(P, m)
-            assert P.rank(c) == P.rank(m)
-            assert is_flat(P, c)
-
-
-def test_is_flat_matches_closure(wide_instances):
-    for P in wide_instances:
-        for m in iter_masks(P.n):
-            assert is_flat(P, m) == (closure(P, m) == m)
 
 
 def test_reference_flats(example5):
@@ -262,13 +249,6 @@ def test_guaranteed_prefixes_are_unimodal(full_corpus):
         interior, exterior = polynomial_pair(P)
         assert is_unimodal(exterior.coeffs[: exterior_formula_range(P)])
         assert is_unimodal(interior.coeffs[: interior_formula_range(P)])
-
-
-def test_structure_summary_bundles_everything(example5):
-    summary = structure_summary(example5)
-    assert summary.flats == flats(example5)
-    assert summary.rank_drop == rank_drop_thresholds(example5)
-    assert summary.full_deficiency == 5
 
 
 def test_prefix_equivalences_hold(full_corpus):

@@ -1,0 +1,98 @@
+"""The package's surface: each definition has a caller in the package, or a named reason to stay.
+
+A top-level function or class counts as called when its name is read
+(``ast.Name``) somewhere in ``src/polymat`` outside its own definition
+and outside ``__init__.py``, whose re-export list is not a caller.  A
+method counts when it is read as an attribute (``ast.Attribute``).
+Dunder methods are exempt: the language calls them.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import polymat
+
+PACKAGE = Path(polymat.__file__).parent
+
+# Definitions with no caller in the package, each with what needs it.
+KEPT = {
+    "activity.activity": "tests/test_activity.py: one basis's activities "
+    "(test_greedy_basis_fully_internally_active)",
+    "activity.interior_polynomial": "frozen-value tests in tests/test_activity.py "
+    "and tests/test_hypergraphs.py",
+    "activity.exterior_polynomial": "frozen-value tests in tests/test_activity.py "
+    "and tests/test_hypergraphs.py",
+    "activity.point_set_polynomials": "the reference route of assert_dag_sweep_matches "
+    "(tests/test_activity.py); README, Library overview",
+    "core.RankTable.from_function": "tests/conftest.py and tests/generators.py build "
+    "tables with it",
+    "core.Polymatroid.rank_of": "tests/test_acceptance.py and tests/oracles.py read ranks of "
+    "element sets",
+    "core.Polymatroid.greedy_basis": "test_greedy_basis_is_a_basis, "
+    "test_greedy_basis_fully_internally_active",
+    "core.Polymatroid.delete": "test_delete_and_contract_ranks, "
+    "test_slice_endpoints_are_delete_and_contract",
+    "core.Polymatroid.contract": "test_delete_and_contract_ranks, "
+    "test_slice_endpoints_are_delete_and_contract",
+    "core.Polymatroid.slice_at": "test_slice_bases_partition_by_coordinate, "
+    "test_minors_match_their_definitions_past_n5",
+    "core.translate": "test_translate_and_negate; tests/test_activity.py builds translated "
+    "point sets with it",
+    "core.negate": "test_translate_and_negate; tests/test_activity.py builds negated "
+    "point sets with it",
+    "documents.emit_document": "tests/test_documents.py round trips; CI writes its large "
+    "inputs with it",
+    "graphs.Graph.subset_rank": "test_subset_rank_is_vertices_minus_components; "
+    "tests/generators.py builds the doubled K5 table with it",
+    "matroids.Matroid.subset_rank": "test_subset_rank; tests/oracles.py reads matroid "
+    "ranks through it",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(key, name, node, is_method) for each top-level def and class and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, True
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read below ``node``: ("attr", x) for ``.x``, ("name", x) for ``x``."""
+    return Counter(
+        ("attr", n.attr) if isinstance(n, ast.Attribute) else ("name", n.id)
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name))
+    )
+
+
+def _uncalled() -> set[str]:
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    reads = sum((_reads(tree) for module, tree in trees.items() if module != "__init__"), Counter())
+    flagged = set()
+    for module, tree in trees.items():
+        for key, name, definition, is_method in _definitions(tree, module):
+            read = ("attr" if is_method else "name", name)
+            if reads[read] == _reads(definition)[read]:  # read only inside its own definition
+                flagged.add(key)
+    return flagged
+
+
+def test_every_definition_has_a_caller_or_a_kept_reason():
+    flagged = _uncalled()
+    uncalled, stale = sorted(flagged - KEPT.keys()), sorted(KEPT.keys() - flagged)
+    assert not uncalled, f"no caller in the package and no KEPT reason: {uncalled}"
+    assert not stale, f"KEPT names that now have a caller: {stale}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in polymat.__all__ if not hasattr(polymat, name)]
+    assert missing == []
