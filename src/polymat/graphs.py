@@ -200,38 +200,26 @@ class Graph:
 
     def girth(self) -> int | None:
         """Length of the shortest cycle, or None in a forest."""
-        best: int | None = None
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count + 1)]
         for idx, (u, v) in enumerate(self.edges):
-            if u == v:
-                return 1
             adj[u].append((v, idx))
             adj[v].append((u, idx))
-        seen_pairs = set()
-        for u, v in self.edges:
-            pair = (min(u, v), max(u, v))
-            if pair in seen_pairs:
-                best = 2
-            seen_pairs.add(pair)
-        for s in range(1, self.vertex_count + 1):
+        best: int | None = None
+        # Each edge closes a cycle one longer than the shortest path between its
+        # ends that avoids it; a search stops once it cannot beat the best so far.
+        for skip, (s, t) in enumerate(self.edges):
             dist = {s: 0}
-            via = {s: -1}
             queue = [s]
-            while queue:
+            while queue and t not in dist and (best is None or dist[queue[0]] + 2 < best):
                 nxt = []
                 for u in queue:
                     for v, idx in adj[u]:
-                        if idx == via[u]:
-                            continue
-                        if v not in dist:
+                        if idx != skip and v not in dist:
                             dist[v] = dist[u] + 1
-                            via[v] = idx
                             nxt.append(v)
-                        else:
-                            cand = dist[u] + dist[v] + 1
-                            if best is None or cand < best:
-                                best = cand
                 queue = nxt
+            if t in dist:
+                best = dist[t] + 1
         return best
 
 

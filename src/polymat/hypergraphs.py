@@ -29,7 +29,7 @@ from .structure import (
     hyperplane_sets,
     rank_drop_thresholds,
 )
-from .subsets import bits, by_size, complement, full_mask, iter_masks, subset_sums
+from .subsets import bits, by_size, complement, full_mask, subset_sums
 
 
 class Hypergraph:
@@ -104,9 +104,10 @@ class Hypergraph:
     @_once
     def _cycle_counts(self) -> tuple[int, ...]:
         """Cyclomatic number of each hyperedge subset by mask: incidences - nodes + components."""
+        nv = self.vertex_count
         incidences = subset_sums([mask.bit_count() for mask in self.edge_masks])
         return tuple(
-            s - self.vertex_count - m.bit_count() + c
+            s - nv - m.bit_count() + c
             for m, (s, c) in enumerate(zip(incidences, self._component_counts()))
         )
 
@@ -154,15 +155,14 @@ def two_component_families(H: Hypergraph) -> dict[int, frozenset[int]]:
     scan stays per mask: the rank table is |V| minus these same counts, so
     ``structure._maximal`` here would be the rank-table route itself.
     """
-    m = H.edge_count
-    counts = H._component_counts()
+    # Read backwards, the table gives the count left after removing a mask.
+    left = H._component_counts()[::-1]
     found = (
         removed
-        for removed in iter_masks(m)
-        if counts[complement(removed, m)] == 2
-        and all(counts[complement(removed ^ low, m)] == 1 for low in bits(removed))
+        for removed, count in enumerate(left)
+        if count == 2 and all(left[removed ^ low] == 1 for low in bits(removed))
     )
-    return by_size(found, m)
+    return by_size(found, H.edge_count)
 
 
 def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
@@ -186,11 +186,8 @@ def unique_cycle_families(H: Hypergraph) -> dict[int, frozenset[int]]:
 
 def split_threshold(H: Hypergraph) -> int | None:
     """Smallest removal set leaving at least three components."""
-    m = H.edge_count
-    counts = H._component_counts()
-    return min(
-        (r.bit_count() for r in iter_masks(m) if counts[complement(r, m)] >= 3), default=None
-    )
+    left = H._component_counts()[::-1]
+    return min((r.bit_count() for r, count in enumerate(left) if count >= 3), default=None)
 
 
 def double_cycle_threshold(H: Hypergraph) -> int | None:

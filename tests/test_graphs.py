@@ -335,8 +335,20 @@ def test_girth_conventions():
 
 def test_girth_matches_oracle():
     rng = random.Random(13)
-    for _ in range(80):
-        G = random_multigraph(rng)
+    graphs = [random_multigraph(rng) for _ in range(80)]
+    # Simple graphs and hypergraph incidence graphs with 6-12 edges, where
+    # no loop or parallel pair settles the girth at 1 or 2.
+    for _ in range(30):
+        nv = rng.randint(5, 10)
+        pairs = list(itertools.combinations(range(1, nv + 1), 2))
+        graphs.append(Graph(nv, rng.sample(pairs, rng.randint(6, min(12, len(pairs))))))
+    while len(graphs) < 140:
+        names = "abcde"[: rng.randint(3, 5)]
+        hyperedges = [rng.sample(names, rng.randint(2, 3)) for _ in range(rng.randint(2, 5))]
+        G = Hypergraph(tuple(names), hyperedges).incidence_graph()
+        if 6 <= G.edge_count <= 12:
+            graphs.append(G)
+    for G in graphs:
         assert G.girth() == brute_girth(G.vertex_count, list(G.edges))
 
 

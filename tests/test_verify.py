@@ -318,3 +318,127 @@ def test_report_passes_exactly_when_its_checks_do(capsys, monkeypatch, name, spo
     assert [text for text in out if text.startswith("FAIL")] == [line]
     total = int(out[-1].split("/")[1].split()[0])
     assert out[-1] == f"verify {total - 1}/{total} checks passed"
+
+
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+# One patched computation per row, a name in polymat.verify or a frontend
+# method; each breaks one inline check, which verify prints with its detail.
+BROKEN_INLINE = [
+    (
+        polymat.verify,
+        "first_exterior_coefficients",
+        lambda f: lambda P: (f(P)[0] + 1, f(P)[1]),
+        "coverage5.rank-table",
+        ["FAIL exterior-constant-term — got 1, closed form 2"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "first_exterior_coefficients",
+        lambda f: lambda P: (f(P)[0], f(P)[1] + 1),
+        "coverage5.rank-table",
+        ["FAIL exterior-linear-term — got 3, closed form 4"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "exterior_by_slices",
+        lambda f: lambda P, t: f(P, t) if t != 2 else Polynomial(f(P, t).coeffs + (1,)),
+        "coverage5.rank-table",
+        ["FAIL slice-recursion-all-elements — mismatch at elements [2]"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "full_deficiency",
+        _plus_one,
+        "coverage5.rank-table",
+        [
+            "FAIL threshold-existence-and-monotonicity — rank-drop {0: 0, 1: 2, 2: 4, 3: 5}, "
+            "deficiency {0: 0, 1: 2, 2: 2, 3: 3, 4: 4, 5: 5}"
+        ],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "circuit_sets",
+        lambda f: lambda P: {j: frozenset(sorted(group)[1:]) for j, group in f(P).items()},
+        "coverage5.rank-table",
+        [
+            "FAIL circuits-are-dual-hyperplane-complements — {0: frozenset(), 1: frozenset(), "
+            "2: frozenset({10, 18, 6}), 3: frozenset({21}), 4: frozenset(), 5: frozenset()} vs "
+            "{0: frozenset(), 1: frozenset(), 2: frozenset({18, 10, 3, 6}), "
+            "3: frozenset({13, 21}), 4: frozenset(), 5: frozenset()}"
+        ],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "exterior_coefficient_formula",
+        _plus_one,
+        "coverage5.rank-table",
+        ["FAIL exterior-formula-in-range — mismatch at indices [0, 1, 2, 3]"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "interior_coefficient_formula",
+        _plus_one,
+        "coverage5.rank-table",
+        ["FAIL interior-formula-in-range — mismatch at indices [0, 1]"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "check_permutation_invariance",
+        lambda f: lambda P, sigma: f(P, sigma)._replace(relabeled_exterior=Polynomial((1,))),
+        "coverage5.rank-table",
+        ["FAIL relabeling-invariance — changed under [(5, 4, 3, 2, 1), (2, 3, 4, 5, 1)]"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        polymat.verify,
+        "is_unimodal",
+        lambda f: lambda seq: False,
+        "coverage5.rank-table",
+        ["FAIL unimodal-guaranteed-prefixes — exterior (1, 3, 5, 6, 2) interior (1, 5, 8, 3)"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        Graph,
+        "bonds",
+        lambda f: lambda G: f(G)[:-1],
+        "k4.graph",
+        [
+            "FAIL bonds-are-hyperplane-complements — [7, 25, 30, 42, 45, 52] vs "
+            "[7, 25, 30, 42, 45, 51, 52]"
+        ],
+        "verify 23/24 checks passed",
+    ),
+    (
+        Hypergraph,
+        "tree_degree_vectors",
+        lambda f: lambda H: frozenset(sorted(f(H))[1:]),
+        "triangles.hypergraph",
+        [
+            "FAIL tree-degree-vectors-match-bases — [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 0)] "
+            "vs [(0, 0, 1, 2), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 0)]"
+        ],
+        "verify 20/21 checks passed",
+    ),
+]
+
+
+@pytest.mark.parametrize("owner, name, spoil, sample, lines, summary", BROKEN_INLINE)
+def test_inline_check_prints_its_failure(
+    capsys, monkeypatch, owner, name, spoil, sample, lines, summary
+):
+    monkeypatch.setattr(owner, name, spoil(getattr(owner, name)))
+    code = cli.main(["verify", str(SAMPLES / sample)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert {text for text in out if text.startswith("FAIL")} == set(lines)
+    assert out[-1] == summary
