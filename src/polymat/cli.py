@@ -3,9 +3,9 @@
     polymat [options] <command> <file>
 
 Commands: validate, bases, poly, structure, coeffs, verify; options
-(--kind, --method, --element, --machine, --max-n) may come before or
-after the command, and ``polymat --help`` describes both.  The input
-file (or ``-`` for standard input) holds one document in the format of
+(--kind, --method, --machine, --max-n) may come before or after the
+command, and ``polymat --help`` describes both.  The input file (or
+``-`` for standard input) holds one document in the format of
 :mod:`polymat.documents`; graphs, matroids, and hypergraphs are turned
 into polymatroids before the polynomial commands run.
 
@@ -65,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="which polynomial(s) to use (poly, coeffs); default both")
     parser.add_argument("--method", choices=("direct", "recursion"), default="direct",
                         help="poly route: activity enumeration or coordinate-slice recursion")
-    parser.add_argument("--element", type=int, metavar="T",
-                        help="pivot element for '--method recursion' (default: the last one)")
     parser.add_argument("--machine", action="store_true", help="emit a JSON report instead of text")
     parser.add_argument("--max-n", type=int, metavar="N", help="override the size guard (default "
                         f"{DEFAULT_MAX_GROUND_SET} for rank tables and hypergraphs, "
@@ -163,15 +161,13 @@ def _cmd_bases(doc, P, fields, suite, args):
 
 def _cmd_poly(doc, P, fields, suite, args):
     """compute the interior and/or exterior polynomial"""
-    if args.element is not None and args.method != "recursion":
-        print("warning: --element only affects --method recursion", file=sys.stderr)
     names = ("interior", "exterior") if args.kind == "both" else (args.kind,)
     if args.method == "direct":
         pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
         polys = [pair[name] for name in names]
     else:
         routes = {"interior": interior_by_slices, "exterior": exterior_by_slices}
-        polys = [routes[name](P, args.element) for name in names]
+        polys = [routes[name](P) for name in names]
     lines = []
     payload = {"method": args.method}
     for name, poly in zip(names, polys):

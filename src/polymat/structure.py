@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .activity import polynomial_pair
-from .core import _DOWN, Polymatroid, _once, _packed
+from .core import _DOWN, Polymatroid, SizeLimitError, _once, _packed
 from .subsets import bit, by_size, complement, elements_of, full_mask, iter_masks
 
 
@@ -112,7 +112,8 @@ def rank_drop_thresholds(P: Polymatroid) -> Mapping[int, int]:
     Missing drops are genuinely absent: the map simply has no such key.
     """
     pairs = set(zip(P.table.values, map(int.bit_count, iter_masks(P.n))))
-    return _threshold_scan([(P.full_rank - v, P.n - size) for v, size in pairs], P.full_rank, P.n)
+    levels = [(P.full_rank - v, P.n - size) for v, size in pairs]
+    return _threshold_scan(levels, P.full_rank, P.n, "full rank")
 
 
 @_once
@@ -120,14 +121,23 @@ def deficiency_thresholds(P: Polymatroid) -> Mapping[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency); once per object."""
     gaps = map(sub, P._singleton_sums(), P.table.values)
     levels = set(zip(gaps, map(int.bit_count, iter_masks(P.n))))
-    return _threshold_scan(levels, full_deficiency(P), P.n)
+    return _threshold_scan(levels, full_deficiency(P), P.n, "full deficiency")
 
 
-def _threshold_scan(levels, top: int, n: int) -> Mapping[int, int]:
+# A threshold map has one entry per level up to its top: refused before it is built.
+_MAX_THRESHOLD_LEVEL = 1 << 20
+
+
+def _threshold_scan(levels, top: int, n: int, what: str) -> Mapping[int, int]:
     """For k = 0..top, the least size among the (level, size) pairs whose level reaches k.
 
-    Takes the least size at each level, then a suffix minimum.
+    Takes the least size at each level, then a suffix minimum.  A ``top`` past
+    the limit raises ``SizeLimitError``, naming it as ``what``.
     """
+    if top > _MAX_THRESHOLD_LEVEL:
+        raise SizeLimitError(
+            f"{what} {top} exceeds the limit {_MAX_THRESHOLD_LEVEL} for threshold maps"
+        )
     best = [n + 1] * (top + 1)
     for level, size in levels:
         if 0 <= level <= top and size < best[level]:

@@ -138,14 +138,10 @@ def test_poly_direct_output(capsys, table_file):
 def test_poly_recursion_matches_direct(capsys, table_file):
     code, direct, _ = run(capsys, ["poly", table_file])
     assert code == 0
-    for element in (None, 1, 3, 5):
-        argv = ["poly", "--method", "recursion"]
-        if element is not None:
-            argv += ["--element", str(element)]
-        code, out, _ = run(capsys, argv + [table_file])
-        assert code == 0
-        assert "exterior 1 3 5 6 2" in out
-        assert "interior 1 5 8 3" in out
+    code, out, _ = run(capsys, ["poly", "--method", "recursion", table_file])
+    assert code == 0
+    assert "exterior 1 3 5 6 2" in out
+    assert "interior 1 5 8 3" in out
     assert "exterior 1 3 5 6 2" in direct
 
 
@@ -154,12 +150,6 @@ def test_poly_kind_filter(capsys, table_file):
     assert code == 0
     assert "exterior 1 3 5 6 2" in out
     assert "interior" not in out
-
-
-def test_element_with_direct_method_warns(capsys, table_file):
-    code, _, err = run(capsys, ["poly", "--element", "2", table_file])
-    assert code == 0
-    assert "--element only affects" in err
 
 
 def test_poly_machine_payload(capsys, table_file):
@@ -407,7 +397,6 @@ def test_options_before_or_after_command(capsys, table_file, options):
         (["bogus", "FILE"], "argument <command>: invalid choice: 'bogus'"),
         (["validate"], "the following arguments are required: <file>"),
         (["poly", "--kind", "bogus", "FILE"], "argument --kind: invalid choice: 'bogus'"),
-        (["poly", "--element", "x", "FILE"], "argument --element: invalid int value: 'x'"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, table_file, argv, reason):
@@ -528,6 +517,7 @@ _ODD_DOCUMENTS = {
     "disconnected.hypergraph": "kind hypergraph\nvertices a b c d\nhedge a b\nhedge c d\n",
     "not-submodular.rank-table":
         "kind rank-table\nn 2\nrank empty 0\nrank 1 1\nrank 2 1\nrank 1,2 3\n",
+    "huge-rank.rank-table": "kind rank-table\nn 1\nrank empty 0\nrank 1 99999999999999999999\n",
 }
 _ODD_DOCUMENTS.update({p.name: p.read_text() for p in sorted(SAMPLES.iterdir())})
 
@@ -559,6 +549,28 @@ def test_huge_vertex_count_exits_2_without_allocating(capsys, tmp_path, edge):
     assert peak < 1 << 20
     assert (code, out) == (2, "")
     assert err == "error: cycle matroid requires a connected graph\n"
+
+
+@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
+def test_full_rank_past_the_threshold_limit_is_refused_without_allocating(
+    capsys, tmp_path, command
+):
+    path = tmp_path / "huge-rank.rank-table"
+    path.write_text(_ODD_DOCUMENTS[path.name])
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if command in ("structure", "coeffs", "verify"):
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: full rank 99999999999999999999 exceeds the limit 1048576 for threshold maps\n"
+        )
+    else:
+        assert (code, err) == (0, "")
 
 
 _NUMBER_REPLACEMENTS = ("-1", "0", "1000000000", "x")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from polymat import (
     FormulaRangeError,
     Polymatroid,
     RankTable,
+    SizeLimitError,
     binom,
     complement,
     binomial_prefix_check,
@@ -168,6 +170,20 @@ def test_thresholds_scan_matches_definition(small_corpus, wide_instances):
                 m.bit_count() for m in iter_masks(P.n) if deficiency(P, m) >= k
             ]
             assert value == min(sizes)
+
+
+def test_threshold_map_past_the_limit_is_refused_before_it_is_built():
+    huge = 99999999999999999999
+    P = Polymatroid(RankTable(1, [0, huge]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"^full rank {huge} exceeds the limit 1048576 "):
+            rank_drop_thresholds(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert deficiency_thresholds(P) == {0: 0}
 
 
 def test_thresholds_are_monotone(full_corpus):

@@ -11,11 +11,12 @@ import pytest
 import polymat.cli as cli
 import polymat.graphs
 import polymat.hypergraphs
+import polymat.matroids
 import polymat.verify
 from polymat.core import Polymatroid, _once
 from polymat.graphs import CutFormulaRow, Graph
 from polymat.hypergraphs import Hypergraph
-from polymat.matroids import Matroid
+from polymat.matroids import Matroid, TuttePolynomial
 from polymat.polynomials import Polynomial
 from polymat.verify import (
     CheckResult,
@@ -324,8 +325,33 @@ def _plus_one(f):
     return lambda *args: f(*args) + 1
 
 
-# One patched computation per row, a name in polymat.verify or a frontend
-# method; each breaks one inline check, which verify prints with its detail.
+def _tutte_shifted(deltas):
+    """Spoil a Tutte route by adding deltas[(i, j)] to the x^i y^j coefficients.
+
+    Shifts summing to zero along a row leave T(x, 1) and T(1, 1) alone, along
+    a column T(1, y) and T(1, 1); any other shift moves T(1, 1) and so both
+    one-variable specializations.
+    """
+
+    def spoil(f):
+        def shifted(M):
+            grid = [list(row) for row in f(M).grid]
+            for (i, j), d in deltas.items():
+                grid[i][j] += d
+            return TuttePolynomial(tuple(map(tuple, grid)))
+
+        return shifted
+
+    return spoil
+
+
+def _first_member_dropped(f):
+    return lambda *args: {j: frozenset(sorted(group)[1:]) for j, group in f(*args).items()}
+
+
+# One patched computation per row: a name in polymat.verify or in a frontend
+# module, or a frontend method.  Each breaks one route; verify prints every
+# check that reads it as failed, with its detail.
 BROKEN_INLINE = [
     (
         polymat.verify,
@@ -427,6 +453,82 @@ BROKEN_INLINE = [
             "FAIL tree-degree-vectors-match-bases — [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 0)] "
             "vs [(0, 0, 1, 2), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 0)]"
         ],
+        "verify 20/21 checks passed",
+    ),
+    (
+        polymat.matroids,
+        "tutte_polynomial",
+        _tutte_shifted({(0, 0): 1, (0, 1): -1}),
+        "k4.graph",
+        ["FAIL tutte-exterior-reversal — "],
+        "verify 23/24 checks passed",
+    ),
+    (
+        polymat.matroids,
+        "tutte_polynomial",
+        _tutte_shifted({(0, 0): 1, (1, 0): -1}),
+        "k4.graph",
+        ["FAIL tutte-interior-reversal — "],
+        "verify 23/24 checks passed",
+    ),
+    (
+        polymat.matroids,
+        "tutte_polynomial",
+        _tutte_shifted({(0, 0): 1}),
+        "k4.graph",
+        [
+            "FAIL tutte-exterior-reversal — ",
+            "FAIL tutte-interior-reversal — ",
+            "FAIL tutte-basis-count — ",
+        ],
+        "verify 21/24 checks passed",
+    ),
+    (
+        polymat.graphs,
+        "tutte_polynomial",
+        _tutte_shifted({(0, 0): 1}),
+        "k4.graph",
+        ["FAIL cut-count-coefficients — rows [(0, 1, 1), (1, 3, 3), (2, 6, 6), (3, 6, 7)]"],
+        "verify 23/24 checks passed",
+    ),
+    (
+        Matroid,
+        "rank_drop_threshold",
+        _plus_one,
+        "k4.graph",
+        ["FAIL matroid-rank-drop-bridge — "],
+        "verify 23/24 checks passed",
+    ),
+    (
+        Matroid,
+        "nullity_threshold",
+        _plus_one,
+        "k4.graph",
+        ["FAIL matroid-nullity-bridge — "],
+        "verify 23/24 checks passed",
+    ),
+    (
+        polymat.hypergraphs,
+        "two_component_families",
+        _first_member_dropped,
+        "triangles.hypergraph",
+        ["FAIL two-component-family-bridge — "],
+        "verify 20/21 checks passed",
+    ),
+    (
+        polymat.hypergraphs,
+        "unique_cycle_families",
+        _first_member_dropped,
+        "triangles.hypergraph",
+        ["FAIL unique-cycle-family-bridge — "],
+        "verify 20/21 checks passed",
+    ),
+    (
+        polymat.hypergraphs,
+        "double_cycle_threshold",
+        _plus_one,
+        "triangles.hypergraph",
+        ["FAIL double-cycle-threshold-bridge — 4 vs 3"],
         "verify 20/21 checks passed",
     ),
 ]
