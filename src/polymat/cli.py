@@ -49,6 +49,10 @@ from .structure import (
 from .subsets import elements_of
 from .verify import CheckResult, verify_graph, verify_hypergraph, verify_matroid, verify_polymatroid
 
+# Each --kind value as the polynomials that poly and coeffs report, in output order.
+_KINDS = {"interior": ("interior",), "exterior": ("exterior",), "both": ("interior", "exterior")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in _COMMANDS.items())
     parser = argparse.ArgumentParser(
@@ -61,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS, metavar="<command>", help="see below")
     parser.add_argument("file", metavar="<file>", help="input document path, or - for stdin")
-    parser.add_argument("--kind", choices=("interior", "exterior", "both"), default="both",
+    parser.add_argument("--kind", choices=_KINDS, default="both",
                         help="which polynomial(s) to use (poly, coeffs); default both")
     parser.add_argument("--method", choices=("direct", "recursion"), default="direct",
                         help="poly route: activity enumeration or coordinate-slice recursion")
@@ -161,7 +165,7 @@ def _cmd_bases(doc, P, fields, suite, args):
 
 def _cmd_poly(doc, P, fields, suite, args):
     """compute the interior and/or exterior polynomial"""
-    names = ("interior", "exterior") if args.kind == "both" else (args.kind,)
+    names = _KINDS[args.kind]
     if args.method == "direct":
         pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
         polys = [pair[name] for name in names]
@@ -232,21 +236,18 @@ def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
 
 def _cmd_coeffs(doc, P, fields, suite, args):
     """compare closed-form coefficients against enumeration"""
-    interior, exterior = polynomial_pair(P)
-    sections = []
-    if args.kind in ("interior", "both"):
-        sections.append(
-            ("interior", interior, interior_coefficient_formula, interior_formula_range(P))
-        )
-    if args.kind in ("exterior", "both"):
-        sections.append(
-            ("exterior", exterior, exterior_coefficient_formula, exterior_formula_range(P))
-        )
+    pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
+    formulas = {
+        "interior": (interior_coefficient_formula, interior_formula_range),
+        "exterior": (exterior_coefficient_formula, exterior_formula_range),
+    }
+    # Every guaranteed range before any row: a refused threshold map stops the command first.
+    sections = [(name, formulas[name][0], formulas[name][1](P)) for name in _KINDS[args.kind]]
     lines = []
     payload = {}
     failed = False
-    for name, poly, formula, valid_range in sections:
-        rows = _coeff_rows(P, poly, formula, valid_range)
+    for name, formula, valid_range in sections:
+        rows = _coeff_rows(P, pair[name], formula, valid_range)
         lines.append(f"{name} guaranteed-range {valid_range}")
         for row in rows:
             tag = "in-range" if row["in_range"] else "flagged"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import repeat
-from operator import add, ge, le, sub
+from operator import add, ge, itemgetter, le, sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -425,12 +425,11 @@ class Polymatroid:
         n = self.n
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-        # A sum of distinct bits is their OR: the image of every mask at once.
-        targets = subset_sums([bit(s) for s in sigma])
-        new_values = [0] * (1 << n)
-        for target, value in zip(targets, self.table.values):
-            new_values[target] = value
-        return Polymatroid._trusted(n, new_values)
+        # Mask m of the result holds the value at m's preimage under sigma; a sum
+        # of distinct bits is their OR, so subset_sums lists the preimages in mask order.
+        inverse = sorted(range(1, n + 1), key=lambda i: sigma[i - 1])
+        gather = itemgetter(*subset_sums([bit(i) for i in inverse]))
+        return Polymatroid._trusted(n, gather(self.table.values))
 
     # -- misc ------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from polymat import (
 import polymat.core
 from polymat.core import ValidationError, _first_violation, _packed, _shifted
 from polymat.subsets import complement
+from polymat.verify import _deterministic_permutations
 
 from generators import coverage_table, ladder_tables
 from oracles import brute_bases, leaf_checked_bases, minor_ranks
@@ -327,13 +328,14 @@ def test_minors_match_their_definitions_past_n5(wide_instances):
 
 
 def test_relabel_matches_its_definition_past_n5(wide_instances):
+    # A random permutation, and the reversal and rotation that verify applies.
     rng = random.Random(11)
     for P in wide_instances:
-        sigma = rng.sample(range(1, P.n + 1), P.n)
-        Q = P.relabel(sigma)
-        for size in range(P.n + 1):
-            for subset in itertools.combinations(range(1, P.n + 1), size):
-                assert Q.rank_of(sigma[e - 1] for e in subset) == P.rank_of(subset)
+        for sigma in [rng.sample(range(1, P.n + 1), P.n), *_deterministic_permutations(P.n)]:
+            Q = P.relabel(sigma)
+            for size in range(P.n + 1):
+                for subset in itertools.combinations(range(1, P.n + 1), size):
+                    assert Q.rank_of(sigma[e - 1] for e in subset) == P.rank_of(subset)
 
 
 def test_slice_bases_partition_by_coordinate(example5):

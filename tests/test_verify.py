@@ -12,7 +12,9 @@ import polymat.cli as cli
 import polymat.graphs
 import polymat.hypergraphs
 import polymat.matroids
+import polymat.structure
 import polymat.verify
+from polymat.activity import polynomial_pair
 from polymat.core import Polymatroid, _once
 from polymat.graphs import CutFormulaRow, Graph
 from polymat.hypergraphs import Hypergraph
@@ -349,9 +351,29 @@ def _first_member_dropped(f):
     return lambda *args: {j: frozenset(sorted(group)[1:]) for j, group in f(*args).items()}
 
 
-# One patched computation per row: a name in polymat.verify or in a frontend
-# module, or a frontend method.  Each breaks one route; verify prints every
-# check that reads it as failed, with its detail.
+def _level_one_raised(f):
+    return lambda *args: {**f(*args), 1: f(*args)[1] + 1}
+
+
+def _dual_interior_lengthened(f):
+    """Spoil the dual's half of the duality route only: ``P.dual()`` returns
+    the dual with one more interior coefficient in its cached polynomial pair."""
+
+    @_once
+    def dual(P):
+        D = f(P)
+        pair = polynomial_pair(D)
+        key = next(k for k, v in vars(D).items() if v is pair)
+        vars(D)[key] = (Polynomial(pair[0].coeffs + (1,), "x"), pair[1])
+        return D
+
+    return dual
+
+
+# One patched computation per row: a name in polymat.verify, polymat.structure
+# or a frontend module, or a method.  Each breaks one route; verify prints
+# every check that reads it as failed, with its detail.  New rows go last,
+# since a row's index is part of its test id.
 BROKEN_INLINE = [
     (
         polymat.verify,
@@ -378,13 +400,14 @@ BROKEN_INLINE = [
         "verify 13/14 checks passed",
     ),
     (
-        polymat.verify,
-        "full_deficiency",
-        _plus_one,
+        # The threshold scan stops one level short of its top.
+        polymat.structure,
+        "_threshold_scan",
+        lambda f: lambda levels, top, n, what: f(levels, top - 1, n, what),
         "coverage5.rank-table",
         [
-            "FAIL threshold-existence-and-monotonicity — rank-drop {0: 0, 1: 2, 2: 4, 3: 5}, "
-            "deficiency {0: 0, 1: 2, 2: 2, 3: 3, 4: 4, 5: 5}"
+            "FAIL threshold-existence-and-monotonicity — rank-drop {0: 0, 1: 2, 2: 4}, "
+            "deficiency {0: 0, 1: 2, 2: 2, 3: 3, 4: 4}"
         ],
         "verify 13/14 checks passed",
     ),
@@ -418,20 +441,24 @@ BROKEN_INLINE = [
         "verify 13/14 checks passed",
     ),
     (
-        polymat.verify,
-        "check_permutation_invariance",
-        lambda f: lambda P, sigma: f(P, sigma)._replace(relabeled_exterior=Polynomial((1,))),
+        # A result that is not a relabeling: any wrong bit permutation would
+        # pass, by the invariance checked.  This table's interior and
+        # exterior differ, so its dual changes the pair.
+        Polymatroid,
+        "relabel",
+        lambda f: lambda P, sigma: P.dual(),
         "coverage5.rank-table",
         ["FAIL relabeling-invariance — changed under [(5, 4, 3, 2, 1), (2, 3, 4, 5, 1)]"],
         "verify 13/14 checks passed",
     ),
     (
+        # A unimodality test that rejects a plateau, which K4's prefixes have.
         polymat.verify,
         "is_unimodal",
-        lambda f: lambda seq: False,
-        "coverage5.rank-table",
-        ["FAIL unimodal-guaranteed-prefixes — exterior (1, 3, 5, 6, 2) interior (1, 5, 8, 3)"],
-        "verify 13/14 checks passed",
+        lambda f: lambda seq: f(seq) and all(a != b for a, b in zip(seq, seq[1:])),
+        "k4.graph",
+        ["FAIL unimodal-guaranteed-prefixes — exterior (1, 3, 6, 6) interior (1, 3, 6, 6)"],
+        "verify 23/24 checks passed",
     ),
     (
         Graph,
@@ -529,6 +556,56 @@ BROKEN_INLINE = [
         _plus_one,
         "triangles.hypergraph",
         ["FAIL double-cycle-threshold-bridge — 4 vs 3"],
+        "verify 20/21 checks passed",
+    ),
+    (
+        Polymatroid,
+        "dual",
+        _dual_interior_lengthened,
+        "coverage5.rank-table",
+        ["FAIL exterior-equals-dual-interior — (1, 3, 5, 6, 2) vs (1, 3, 5, 6, 2, 1)"],
+        "verify 13/14 checks passed",
+    ),
+    (
+        # Grounding forgets to subtract the coordinate minima (1 at element 3).
+        Polymatroid,
+        "grounded",
+        lambda f: lambda P: P,
+        "triangles.hypergraph",
+        ["FAIL thresholds-swap-under-duality — threshold maps do not swap"],
+        "verify 20/21 checks passed",
+    ),
+    (
+        # Each input of the families check feeds another check too: here the
+        # rank-drop maps of P, its dual and its translate all read their first
+        # threshold one too high, so the swap fails with it.
+        polymat.verify,
+        "rank_drop_thresholds",
+        _level_one_raised,
+        "coverage5.rank-table",
+        [
+            "FAIL thresholds-swap-under-duality — threshold maps do not swap",
+            "FAIL families-empty-below-first-threshold — nonempty family below its first threshold",
+        ],
+        "verify 12/14 checks passed",
+    ),
+    (
+        polymat.hypergraphs,
+        "full_deficiency",
+        _plus_one,
+        "triangles.hypergraph",
+        ["FAIL degree-sum-deficiency-offset — 3 vs 1"],
+        "verify 20/21 checks passed",
+    ),
+    (
+        Hypergraph,
+        "girth",
+        lambda f: lambda H: f(H) + 2,
+        "triangles.hypergraph",
+        [
+            "FAIL girth-binomial-prefix — rows [(0, True, True), (1, True, True), "
+            "(2, False, True), (3, False, False)]"
+        ],
         "verify 20/21 checks passed",
     ),
 ]
