@@ -10,53 +10,12 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
-from operator import gt, lt, mul
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .core import Polymatroid, _once, _packed, _shifted, _split
 from .polynomials import Polynomial
-
-
-class ActivityReport(NamedTuple):
-    basis: tuple[int, ...]
-    internal: frozenset[int]
-    external: frozenset[int]
-
-
-def _active_sets(n, basis, member):
-    # One basis through a membership test; sweeps over many use _sweep.
-    internal = {1}
-    external = {1}
-    for i in range(2, n + 1):
-        int_active = True
-        ext_active = True
-        for j in range(1, i):
-            probe = list(basis)
-            probe[i - 1] -= 1
-            probe[j - 1] += 1
-            if int_active and member(probe):
-                int_active = False
-            probe[i - 1] += 2
-            probe[j - 1] -= 2
-            if ext_active and member(probe):
-                ext_active = False
-            if not int_active and not ext_active:
-                break
-        if int_active:
-            internal.add(i)
-        if ext_active:
-            external.add(i)
-    return frozenset(internal), frozenset(external)
-
-
-def activity(P: Polymatroid, basis: Sequence[int]) -> ActivityReport:
-    """Internally and externally active index sets of one basis."""
-    vec = tuple(basis)
-    if not P.is_member(vec):
-        raise ValueError(f"{vec} is not a basis of {P!r}")
-    internal, external = _active_sets(P.n, vec, P.is_member)
-    return ActivityReport(vec, internal, external)
 
 
 @_once
@@ -87,20 +46,12 @@ def polynomial_pair(P: Polymatroid) -> tuple[Polynomial, Polynomial]:
     return _sweep(codes, weights, P.n)
 
 
-def interior_polynomial(P: Polymatroid) -> Polynomial:
-    return polynomial_pair(P)[0]
-
-
-def exterior_polynomial(P: Polymatroid) -> Polynomial:
-    return polynomial_pair(P)[1]
-
-
 def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:
     """Exterior polynomial through the coordinate-slice recursion.
 
     X(P) = X(P contract t) + y * sum of X over the remaining slices of
-    coordinate t.  A second route to the same polynomial as
-    ``exterior_polynomial``; the recursion bottoms out at one element,
+    coordinate t.  A second route to the exterior half of
+    ``polynomial_pair``; the recursion bottoms out at one element,
     where the polynomial is 1.  The first step moves ``element`` to the top;
     the recursion then runs on ``_packed`` tables, whose halves are C-level
     slices and whose contraction is one ``_shifted``, and adds plain
@@ -142,30 +93,6 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
 def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:
     """Interior polynomial via the slice recursion applied to the dual."""
     return Polynomial(exterior_by_slices(P.dual(), element).coeffs, "x")
-
-
-def point_set_polynomials(
-    points: Iterable[Sequence[int]], n: int
-) -> tuple[Polynomial, Polynomial]:
-    """(interior, exterior) of an explicit finite point set.
-
-    Each point becomes one integer code, and membership is decided by
-    lookup on the codes, so any finite set of integer vectors works,
-    including translates with negative coordinates.
-    """
-    pts = frozenset(tuple(p) for p in points)
-    if not pts:
-        raise ValueError("empty point set")
-    for p in pts:
-        if len(p) != n:
-            raise ValueError(f"vector length {len(p)} != ground-set size {n}")
-    lows, highs = [min(c) for c in zip(*pts)], [max(c) for c in zip(*pts)]
-    weights = _weights(lows, highs)
-    flags = [1 << t for t in range(n)]
-    codes = {sum(map(int.__mul__, p, weights)): (sum(compress(flags, map(gt, p, lows))),
-                                                 sum(compress(flags, map(lt, p, highs))))
-             for p in pts}
-    return _sweep(codes, weights, n)
 
 
 def _weights(lows: Sequence[int], highs: Sequence[int]) -> list[int]:

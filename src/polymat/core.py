@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import repeat
-from operator import add, ge, itemgetter, le, sub
+from operator import add, ge, itemgetter, sub
 from typing import Callable, Iterable, Sequence
 
 from .subsets import bit, complement, elements_of, full_mask, iter_masks, mask_of, subset_sums
@@ -89,9 +89,6 @@ class RankTable:
                 raise TypeError(f"rank values must be integers, got {v!r}")
         self.n = n
         self.values = vals
-
-    def rank(self, mask: int) -> int:
-        return self.values[mask]
 
     def rank_of(self, elements: Iterable[int]) -> int:
         """Rank of a subset given as an element collection."""
@@ -277,16 +274,6 @@ class Polymatroid:
 
     # -- lattice points ------------------------------------------------
 
-    def is_member(self, vector: Sequence[int]) -> bool:
-        """True when ``vector`` is a basis (a maximal lattice point)."""
-        if len(vector) != self.n:
-            raise ValueError(f"vector length {len(vector)} != ground-set size {self.n}")
-        if any(v < 0 for v in vector):
-            return False
-        if sum(vector) != self.full_rank:
-            return False
-        return all(map(le, subset_sums(vector), self.table.values))
-
     @_once
     def _basis_dag(self) -> tuple[tuple[tuple[int, int | None], ...], ...]:
         """The slices of ``bases()`` as a DAG: each node's (j, child) edges, root last.
@@ -351,13 +338,6 @@ class Polymatroid:
         for node in self._basis_dag():
             paths.append(sum(1 if child is None else paths[child] for _, child in node))
         return paths[-1]
-
-    def greedy_basis(self) -> tuple[int, ...]:
-        """Chain increments f({1..t}) - f({1..t-1}); always a basis."""
-        values = self.table.values
-        return tuple(
-            values[(1 << t) - 1] - values[(1 << (t - 1)) - 1] for t in range(1, self.n + 1)
-        )
 
     @_once
     def _singleton_sums(self) -> bytes | tuple[int, ...]:
@@ -440,19 +420,3 @@ class Polymatroid:
 
     def __repr__(self) -> str:
         return f"Polymatroid(n={self.n}, full_rank={self.full_rank})"
-
-
-def translate(points: Iterable[Sequence[int]], shift: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """Shift a set of integer vectors by ``shift`` componentwise."""
-    shift = tuple(shift)
-    out = set()
-    for p in points:
-        if len(p) != len(shift):
-            raise ValueError("shift length does not match vector length")
-        out.add(tuple(a + c for a, c in zip(p, shift)))
-    return frozenset(out)
-
-
-def negate(points: Iterable[Sequence[int]]) -> frozenset[tuple[int, ...]]:
-    """Reflect a set of integer vectors through the origin."""
-    return frozenset(tuple(-a for a in p) for p in points)

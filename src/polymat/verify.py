@@ -182,11 +182,12 @@ def verify_graph(G: Graph) -> list[CheckResult]:
 def verify_hypergraph(H: Hypergraph) -> list[CheckResult]:
     P = H.to_polymatroid()
     trees = H.tree_degree_vectors()
+    bases = frozenset(P.bases())
     checks = [
         (
             "tree-degree-vectors-match-bases",
-            trees == frozenset(P.bases()),
-            f"{sorted(trees)} vs {sorted(P.bases())}",
+            trees == bases,
+            f"trees only {sorted(trees - bases)}, bases only {sorted(bases - trees)}",
         ),
         *structure_report(H).checks(),
     ]

@@ -4,10 +4,10 @@ Everything here recomputes library quantities from first principles
 with deliberately different algorithms (plain product scans, DFS
 reachability, deletion-contraction) so tests compare two genuinely
 separate routes.  None of these functions import from the library
-beyond plain data (rank tables are consumed through their ``rank`` and
-``rank_of`` methods or as rank lists indexed by mask; the hypertree
-listing reads a graph's spanning trees, which ``test_graphs`` checks
-against ``brute_spanning_trees``).
+beyond plain data (rank tables are consumed through their ``values``,
+indexed by mask, and their ``rank_of`` method, or as rank lists indexed
+by mask; the hypertree listing reads a graph's spanning trees, which
+``test_graphs`` checks against ``brute_spanning_trees``).
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from collections import defaultdict
 def brute_bases(table) -> set[tuple[int, ...]]:
     """All maximal lattice points by scanning the full coordinate box."""
     n = table.n
-    singles = [table.rank(1 << t) for t in range(n)]
-    full = table.rank((1 << n) - 1)
+    singles = [table.values[1 << t] for t in range(n)]
+    full = table.values[-1]
     out = set()
     for vec in itertools.product(*(range(s + 1) for s in singles)):
         if sum(vec) != full:
             continue
         if all(
-            sum(vec[t] for t in range(n) if m >> t & 1) <= table.rank(m)
+            sum(vec[t] for t in range(n) if m >> t & 1) <= table.values[m]
             for m in range(1, 1 << n)
         ):
             out.add(vec)
@@ -45,7 +45,7 @@ def leaf_checked_bases(table) -> list[tuple[int, ...]]:
     then gets a full scan of the subset inequalities.
     """
     n = table.n
-    ranks = [table.rank(m) for m in range(1 << n)]
+    ranks = table.values
     full = ranks[-1]
     low = [full - ranks[((1 << n) - 1) ^ (1 << t)] for t in range(n)]
     high = [ranks[1 << t] for t in range(n)]

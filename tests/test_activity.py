@@ -9,17 +9,11 @@ from polymat import (
     Polymatroid,
     Polynomial,
     RankTable,
-    activity,
     check_duality,
     check_permutation_invariance,
     exterior_by_slices,
-    exterior_polynomial,
     interior_by_slices,
-    interior_polynomial,
-    negate,
-    point_set_polynomials,
     polynomial_pair,
-    translate,
 )
 
 from polymat.core import _packed
@@ -47,31 +41,11 @@ def cycle_polymatroid(name: str, dual: bool) -> Polymatroid:
 
 def assert_dag_sweep_matches(P: Polymatroid) -> None:
     # The pair is taken first, from the DAG walk; the listed bases then feed
-    # the point-set route and the oracle's explicit vector lookups.
+    # the oracle's point-set route, explicit vector lookups on the points.
     pair = polynomial_pair(P)
     bases = P.bases()
-    assert pair == point_set_polynomials(bases, P.n)
     brute_interior, brute_exterior = brute_polynomial_counts(bases, P.n)
     assert pair == (Polynomial(brute_interior, "x"), Polynomial(brute_exterior, "y"))
-
-
-def test_activity_requires_a_basis(example5):
-    with pytest.raises(ValueError):
-        activity(example5, (3, 0, 0, 0, 0))
-
-
-def test_first_index_always_active(example5):
-    for basis in example5.bases():
-        report = activity(example5, basis)
-        assert 1 in report.internal
-        assert 1 in report.external
-
-
-def test_greedy_basis_fully_internally_active(full_corpus):
-    # Transferring mass to an earlier coordinate would exceed a prefix rank.
-    for P in full_corpus:
-        report = activity(P, P.greedy_basis())
-        assert report.internal == frozenset(range(1, P.n + 1))
 
 
 def test_polynomials_match_brute_force(small_corpus, wide_instances):
@@ -98,9 +72,10 @@ def test_degree_at_most_n_minus_one(full_corpus):
         assert exterior.degree <= P.n - 1
 
 
-def test_single_wrappers(example5):
-    assert interior_polynomial(example5).coeffs == (1, 5, 8, 3)
-    assert exterior_polynomial(example5).coeffs == (1, 3, 5, 6, 2)
+def test_reference_table_polynomials(example5):
+    interior, exterior = polynomial_pair(example5)
+    assert interior.coeffs == (1, 5, 8, 3)
+    assert exterior.coeffs == (1, 3, 5, 6, 2)
 
 
 def test_slice_recursion_every_element(full_corpus, wide_instances):
@@ -160,52 +135,6 @@ def test_permutation_invariance(full_corpus):
         assert check_permutation_invariance(P, sigma).passed
 
 
-def test_point_set_route_matches(example5):
-    interior, exterior = polynomial_pair(example5)
-    pi, pe = point_set_polynomials(example5.bases(), 5)
-    assert (pi, pe) == (interior, exterior)
-
-
-def test_point_set_translation_invariance(small_corpus):
-    # Activity only probes differences of points, so shifting every
-    # point (even below zero) changes nothing.
-    rng = random.Random(11)
-    for P in small_corpus:
-        interior, exterior = polynomial_pair(P)
-        shift = tuple(rng.randint(-3, 3) for _ in range(P.n))
-        moved = translate(P.bases(), shift)
-        assert point_set_polynomials(moved, P.n) == (interior, exterior)
-
-
-def test_point_set_negation_swaps_roles(small_corpus):
-    # Reflection reverses coordinate transfers, swapping the activity kinds.
-    for P in small_corpus:
-        interior, exterior = polynomial_pair(P)
-        ni, ne = point_set_polynomials(negate(P.bases()), P.n)
-        assert ni == exterior
-        assert ne == interior
-
-
-def test_point_set_route_matches_brute_force_off_basis_sets():
-    # Random sets with gaps and negative coordinates, and every other basis
-    # of the n = 8-9 ladder tables: probes step out of the points' range in
-    # every coordinate, which the integer codes must not mistake for points.
-    rng = random.Random(20261018)
-    cases = []
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        size = rng.randint(1, 40)
-        cases.append(({tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(size)}, n))
-    for name, table in LADDER.items():
-        if name.startswith("coverage"):
-            cases.append((Polymatroid(table).bases()[::2], table.n))
-    for points, n in cases:
-        interior, exterior = point_set_polynomials(points, n)
-        brute_interior, brute_exterior = brute_polynomial_counts(points, n)
-        assert interior == Polynomial(brute_interior, "x")
-        assert exterior == Polynomial(brute_exterior, "y")
-
-
 def test_dag_sweep_matches_point_set_route_on_wide_corpus(wide_instances):
     for P in wide_instances:
         assert_dag_sweep_matches(Polymatroid(P.table))
@@ -229,22 +158,6 @@ def test_dag_sweep_matches_point_set_route_on_cycle_matroids(name, dual):
     assert_dag_sweep_matches(cycle_polymatroid(name, dual))
 
 
-@pytest.mark.parametrize("name", ["coverage-8a", "coverage-9b", "doubled-k5", "K5", "W5"])
-def test_point_set_bound_masks_on_translated_and_negated_bases(name):
-    # Off the polymatroid path the bounds and masks come from the points
-    # themselves; shifts below zero move both bounds of every coordinate.
-    P = Polymatroid(LADDER[name]) if name in LADDER else cycle_polymatroid(name, False)
-    interior, exterior = polynomial_pair(P)
-    rng = random.Random(name)
-    shift = tuple(rng.randint(-4, 2) for _ in range(P.n))
-    moved = translate(P.bases(), shift)
-    assert min(min(p) for p in moved) < 0
-    assert point_set_polynomials(moved, P.n) == (interior, exterior)
-    assert point_set_polynomials(negate(moved), P.n) == (exterior, interior)
-    brute_interior, brute_exterior = brute_polynomial_counts(negate(moved), P.n)
-    assert (Polynomial(brute_interior), Polynomial(brute_exterior)) == (exterior, interior)
-
-
 def test_polynomial_pair_leaves_bases_unlisted():
     P = Polymatroid(LADDER["coverage-9a"])
     bases_key = f"{Polymatroid.bases.__module__}.{Polymatroid.bases.__qualname__}"
@@ -252,13 +165,6 @@ def test_polynomial_pair_leaves_bases_unlisted():
     assert bases_key not in vars(P)
     assert pair[0](1) == P.basis_count() == len(P.bases())
     assert bases_key in vars(P)
-
-
-def test_point_set_rejects_bad_input():
-    with pytest.raises(ValueError):
-        point_set_polynomials([], 2)
-    with pytest.raises(ValueError):
-        point_set_polynomials([(1, 2, 3)], 2)
 
 
 WALKS = {

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from polymat.activity import exterior_polynomial, interior_polynomial
+from polymat.activity import polynomial_pair
 from polymat.hypergraphs import (
     Hypergraph,
     double_cycle_threshold,
@@ -211,9 +211,9 @@ def test_tree_degree_dp_matches_listed_spanning_trees_on_six_to_ten_hyperedges()
 
 
 def test_parallel_pair_polynomials():
-    P = parallel_pair().to_polymatroid()
-    assert interior_polynomial(P).coeffs == (1, 1)
-    assert exterior_polynomial(P).coeffs == (1, 1)
+    interior, exterior = polynomial_pair(parallel_pair().to_polymatroid())
+    assert interior.coeffs == (1, 1)
+    assert exterior.coeffs == (1, 1)
 
 
 def test_parallel_pair_girth():

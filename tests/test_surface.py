@@ -12,6 +12,7 @@ the language calls them.
 from __future__ import annotations
 
 import ast
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -21,32 +22,18 @@ PACKAGE = Path(polymat.__file__).parent
 
 # Definitions with no caller in the package, each with what needs it.
 KEPT = {
-    "activity.activity": "tests/test_activity.py: one basis's activities "
-    "(test_greedy_basis_fully_internally_active)",
-    "activity.interior_polynomial": "frozen-value tests in tests/test_activity.py "
-    "and tests/test_hypergraphs.py",
-    "activity.exterior_polynomial": "frozen-value tests in tests/test_activity.py "
-    "and tests/test_hypergraphs.py",
-    "activity.point_set_polynomials": "the reference route of assert_dag_sweep_matches "
-    "(tests/test_activity.py); README, Library overview",
     "core.RankTable.from_function": "tests/conftest.py and tests/generators.py build "
     "tables with it",
     "core.RankTable.rank_of": "tests/oracles.py reads ranks of element sets from bare "
     "tables; its package caller is the KEPT Polymatroid.rank_of",
     "core.Polymatroid.rank_of": "tests/test_acceptance.py and tests/oracles.py read ranks of "
     "element sets",
-    "core.Polymatroid.greedy_basis": "test_greedy_basis_is_a_basis, "
-    "test_greedy_basis_fully_internally_active",
     "core.Polymatroid.delete": "test_delete_and_contract_ranks, "
     "test_slice_endpoints_are_delete_and_contract",
     "core.Polymatroid.contract": "test_delete_and_contract_ranks, "
     "test_slice_endpoints_are_delete_and_contract",
     "core.Polymatroid.slice_at": "test_slice_bases_partition_by_coordinate, "
     "test_minors_match_their_definitions_past_n5",
-    "core.translate": "test_translate_and_negate; tests/test_activity.py builds translated "
-    "point sets with it",
-    "core.negate": "test_translate_and_negate; tests/test_activity.py builds negated "
-    "point sets with it",
     "documents.emit_document": "tests/test_documents.py round trips; CI writes its large "
     "inputs with it",
     "graphs.Graph.subset_rank": "test_subset_rank_is_vertices_minus_components; "
@@ -126,3 +113,10 @@ class Wrapper:
 def test_every_exported_name_resolves():
     missing = [name for name in polymat.__all__ if not hasattr(polymat, name)]
     assert missing == []
+
+
+def test_the_activity_module_is_not_shadowed_by_a_re_export():
+    import polymat.activity as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.polynomial_pair is polymat.polynomial_pair
