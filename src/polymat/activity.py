@@ -50,9 +50,10 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     """Exterior polynomial through the coordinate-slice recursion.
 
     X(P) = X(P contract t) + y * sum of X over the remaining slices of
-    coordinate t.  A second route to the exterior half of
-    ``polynomial_pair``; the recursion bottoms out at one element,
-    where the polynomial is 1.  The first step moves ``element`` to the top;
+    coordinate t.  The route ``poly`` and ``coeffs`` run; ``verify`` compares
+    it with the exterior half of ``polynomial_pair``, its second route.  The
+    recursion bottoms out at one element, where the polynomial is 1.  The
+    first step moves ``element`` to the top;
     the recursion then runs on ``_packed`` tables, whose halves are C-level
     slices and whose contraction is one ``_shifted``, and adds plain
     coefficient lists; one ``Polynomial`` is built at the root.  Slices often

@@ -3,8 +3,8 @@
     polymat [options] <command> <file>
 
 Commands: validate, bases, poly, structure, coeffs, verify; options
-(--kind, --method, --machine, --max-n) may come before or after the
-command, and ``polymat --help`` describes both.  The input file (or
+(--kind, --machine, --max-n) may come before or after the command, and
+``polymat --help`` describes both.  The input file (or
 ``-`` for standard input) holds one document in the format of
 :mod:`polymat.documents`; graphs, matroids, and hypergraphs are turned
 into polymatroids before the polynomial commands run.
@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import Callable
 
-from .activity import exterior_by_slices, interior_by_slices, polynomial_pair
+from .activity import exterior_by_slices, interior_by_slices
 from .core import DEFAULT_MAX_GROUND_SET, Polymatroid, RankTable, SizeLimitError
 from .documents import (
     GraphDocument,
@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("file", metavar="<file>", help="input document path, or - for stdin")
     parser.add_argument("--kind", choices=_KINDS, default="both",
                         help="which polynomial(s) to use (poly, coeffs); default both")
-    parser.add_argument("--method", choices=("direct", "recursion"), default="direct",
-                        help="poly route: activity enumeration or coordinate-slice recursion")
     parser.add_argument("--machine", action="store_true", help="emit a JSON report instead of text")
     parser.add_argument("--max-n", type=int, metavar="N", help="override the size guard (default "
                         f"{DEFAULT_MAX_GROUND_SET} for rank tables and hypergraphs, "
@@ -163,18 +161,17 @@ def _cmd_bases(doc, P, fields, suite, args):
     return lines, payload, 0
 
 
+def _polynomials(P: Polymatroid, kind: str) -> list[tuple[str, Polynomial]]:
+    """The polynomials ``--kind`` names, in output order, by the slice recursion alone."""
+    routes = {"interior": interior_by_slices, "exterior": exterior_by_slices}
+    return [(name, routes[name](P)) for name in _KINDS[kind]]
+
+
 def _cmd_poly(doc, P, fields, suite, args):
     """compute the interior and/or exterior polynomial"""
-    names = _KINDS[args.kind]
-    if args.method == "direct":
-        pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
-        polys = [pair[name] for name in names]
-    else:
-        routes = {"interior": interior_by_slices, "exterior": exterior_by_slices}
-        polys = [routes[name](P) for name in names]
     lines = []
-    payload = {"method": args.method}
-    for name, poly in zip(names, polys):
+    payload = {}
+    for name, poly in _polynomials(P, args.kind):
         pretty = poly.pretty()
         lines.append(f"{name} " + " ".join(map(str, poly.coeffs)))
         lines.append(f"{name}-pretty {pretty}")
@@ -236,18 +233,18 @@ def _coeff_rows(P: Polymatroid, poly: Polynomial, formula, valid_range: int):
 
 def _cmd_coeffs(doc, P, fields, suite, args):
     """compare closed-form coefficients against enumeration"""
-    pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
     formulas = {
         "interior": (interior_coefficient_formula, interior_formula_range),
         "exterior": (exterior_coefficient_formula, exterior_formula_range),
     }
-    # Every guaranteed range before any row: a refused threshold map stops the command first.
-    sections = [(name, formulas[name][0], formulas[name][1](P)) for name in _KINDS[args.kind]]
+    # Every guaranteed range before any polynomial: a refused threshold map stops the command first.
+    ranges = {name: formulas[name][1](P) for name in _KINDS[args.kind]}
     lines = []
     payload = {}
     failed = False
-    for name, formula, valid_range in sections:
-        rows = _coeff_rows(P, pair[name], formula, valid_range)
+    for name, poly in _polynomials(P, args.kind):
+        valid_range = ranges[name]
+        rows = _coeff_rows(P, poly, formulas[name][0], valid_range)
         lines.append(f"{name} guaranteed-range {valid_range}")
         for row in rows:
             tag = "in-range" if row["in_range"] else "flagged"

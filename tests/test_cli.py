@@ -135,16 +135,6 @@ def test_poly_direct_output(capsys, table_file):
     assert "exterior-pretty 1+3y+5y²+6y³+2y⁴" in out
 
 
-def test_poly_recursion_matches_direct(capsys, table_file):
-    code, direct, _ = run(capsys, ["poly", table_file])
-    assert code == 0
-    code, out, _ = run(capsys, ["poly", "--method", "recursion", table_file])
-    assert code == 0
-    assert "exterior 1 3 5 6 2" in out
-    assert "interior 1 5 8 3" in out
-    assert "exterior 1 3 5 6 2" in direct
-
-
 def test_poly_kind_filter(capsys, table_file):
     code, out, _ = run(capsys, ["poly", "--kind", "exterior", table_file])
     assert code == 0
@@ -173,6 +163,63 @@ def test_poly_on_graph_matches_library(capsys):
     )
     assert f"interior {' '.join(map(str, interior.coeffs))}" in out
     assert f"exterior {' '.join(map(str, exterior.coeffs))}" in out
+
+
+def test_poly_and_coeffs_match_polynomial_pair_on_wide_corpus(capsys, tmp_path, wide_instances):
+    # poly and coeffs run the slice recursion; the direct sweep is the second route.
+    from polymat.activity import polynomial_pair
+
+    for P in wide_instances:
+        path = _rank_table_file(tmp_path, P.table)
+        pair = dict(zip(("interior", "exterior"), polynomial_pair(P)))
+        for kind, names in cli._KINDS.items():
+            text = [line for name in names for line in (
+                f"{name} " + " ".join(map(str, pair[name].coeffs)),
+                f"{name}-pretty {pair[name].pretty()}",
+            )]
+            assert run(capsys, ["poly", "--kind", kind, path]) == (0, "\n".join(text) + "\n", "")
+            code, out, err = run(capsys, ["poly", "--kind", kind, "--machine", path])
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {
+                "command": "poly", "kind": "rank-table",
+                **{name: {"coefficients": list(pair[name].coeffs), "pretty": pair[name].pretty()}
+                   for name in names},
+            }
+            code, out, err = run(capsys, ["coeffs", "--kind", kind, "--machine", path])
+            payload = json.loads(out)
+            assert (code, err) == (0, "")
+            rows = [r for name in names for r in payload[name]["rows"]]
+            for name in names:
+                column = [r["enumerated"] for r in payload[name]["rows"]]
+                assert len(column) > pair[name].degree
+                assert column == [pair[name].coefficient(i) for i in range(len(column))]
+            _, out, _ = run(capsys, ["coeffs", "--kind", kind, path])
+            words = [line.split() for line in out.splitlines() if " enumerated " in line]
+            assert [w[w.index("enumerated") + 1] for w in words] == [str(r["enumerated"]) for r in rows]
+
+
+@pytest.mark.parametrize("kind", tuple(cli._KINDS))
+@pytest.mark.parametrize("command", ["poly", "coeffs"])
+def test_poly_and_coeffs_run_only_the_slice_routes_kind_names(
+    capsys, monkeypatch, table_file, command, kind
+):
+    called = []
+
+    def recorded(name, route):
+        def wrapper(P):
+            called.append(name)
+            return route(P)
+        return wrapper
+
+    def refused(self):
+        raise AssertionError("the direct sweep's basis DAG was built")
+
+    for name in ("interior", "exterior"):
+        route = f"{name}_by_slices"
+        monkeypatch.setattr(cli, route, recorded(name, getattr(cli, route)))
+    monkeypatch.setattr(Polymatroid, "_basis_dag", refused)
+    assert run(capsys, [command, "--kind", kind, table_file])[0] == 0
+    assert called == list(cli._KINDS[kind])
 
 
 # -- structure ---------------------------------------------------------------------
@@ -231,10 +278,8 @@ def test_coeffs_machine_payload(capsys, table_file):
 
 
 def test_coeffs_in_range_mismatch_exits_1(capsys, table_file, monkeypatch):
-    def broken(P):
-        return Polynomial((5,), var="x"), Polynomial((5,))
-
-    monkeypatch.setattr(cli, "polynomial_pair", broken)
+    monkeypatch.setattr(cli, "interior_by_slices", lambda P: Polynomial((5,), var="x"))
+    monkeypatch.setattr(cli, "exterior_by_slices", lambda P: Polynomial((5,)))
     code, out, _ = run(capsys, ["coeffs", table_file])
     assert code == 1
     assert "coeffs FAILED: in-range mismatch" in out
@@ -397,6 +442,7 @@ def test_options_before_or_after_command(capsys, table_file, options):
         (["bogus", "FILE"], "argument <command>: invalid choice: 'bogus'"),
         (["validate"], "the following arguments are required: <file>"),
         (["poly", "--kind", "bogus", "FILE"], "argument --kind: invalid choice: 'bogus'"),
+        (["poly", "--method", "recursion", "FILE"], "unrecognized arguments: --method"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, table_file, argv, reason):
