@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .core import Polymatroid, _once, _packed, _shifted, _split
+from .core import Polymatroid, _once, _packed, _pinned, _shifted, _split
 from .polynomials import Polynomial
 
 
@@ -59,7 +59,8 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     coefficient lists; one ``Polynomial`` is built at the root.  Slices often
     share a rank table, so each table, pivoting on the top element, is expanded
     once per call; the memo is freed on return.  By submodularity the lowest
-    pin's slice is the deletion f(I) itself, so only the pins above it take the min.
+    pin's slice is the deletion f(I) itself, so only the pins strictly between
+    deletion and contraction take the min, all at once by ``core._pinned``.
     """
     if element is None:
         element = P.n
@@ -72,13 +73,12 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
             half = len(values) // 2
             if half > 1:
                 without, within = values[:half], values[half:]  # f(I), f(I + top)
-                lowest = values[-1] - without[-1]
-                total = list(expand(_shifted(within, within[0])))
-                for j in range(lowest, within[0]):
-                    child = expand(
-                        without if j == lowest
-                        else type(values)(map(min, without, _shifted(within, j)))
-                    )
+                lowest, top = values[-1] - without[-1], within[0]
+                total = list(expand(_shifted(within, top)))
+                slices = [without] if top > lowest else []
+                if top > lowest + 1:
+                    slices += _pinned(without, within, range(lowest + 1, top))
+                for child in map(expand, slices):
                     total += [0] * (len(child) + 1 - len(total))
                     for k, c in enumerate(child, 1):  # y * child
                         total[k] += c

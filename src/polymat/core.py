@@ -200,6 +200,28 @@ def _shifted(values: bytes | tuple[int, ...], j: int) -> bytes | tuple[int, ...]
     return tuple(map(sub, values, repeat(j)))
 
 
+# _RAMP[255 - j : 511 - j] maps each byte g to max(0, j - g): one slice per pin, no 256 tables.
+_RAMP = bytes(range(255, 0, -1)) + bytes(256)
+
+
+def _pinned(
+    without: bytes | tuple[int, ...], within: bytes | tuple[int, ...], pins: range
+) -> list[bytes | tuple[int, ...]]:
+    """The slice tables min(f(I), f(I + t) - j) for each j in ``pins``, in the halves' packing.
+
+    For ``bytes``, each table is one wide integer: every gain f(I + t) - f(I)
+    is at least 0 (monotonicity), so one subtraction gives all the gains with
+    no borrow between bytes.  A pin then subtracts max(0, j - gain) from f(I)
+    by one ``translate``; no byte goes negative because j <= f({t}) <= f(I + t).
+    """
+    if type(without) is not bytes:
+        return [tuple(map(min, without, _shifted(within, j))) for j in pins]
+    size, low = len(without), int.from_bytes(without, "little")
+    gains = (int.from_bytes(within, "little") - low).to_bytes(size, "little")
+    drops = (int.from_bytes(gains.translate(_RAMP[255 - j : 511 - j]), "little") for j in pins)
+    return [(low - drop).to_bytes(size, "little") for drop in drops]
+
+
 def _split(values: Sequence[int], t: int) -> tuple[list[int], list[int]]:
     """(f(I), f(I + t)) over the subsets I of the other elements, renumbered downward.
 
@@ -284,10 +306,11 @@ class Polymatroid:
         Every slice in range is nonempty, so every root-to-leaf path is a
         basis.  By submodularity the lowest pin's slice is the deletion f(I)
         and the highest pin's is the contraction f(I + 1) - f({1}), so only
-        the pins between them take the min.
+        the pins strictly between them take the min, all at once by ``_pinned``.
 
         Tables are ``_packed``: the even and odd entries are C-level slices, the
-        contraction one ``_shifted``, and a ``bytes`` memo key caches its hash.
+        contraction one ``_shifted``, the middle pins one wide-integer subtraction
+        each, and a ``bytes`` memo key caches its hash.
         Many prefixes reach the same slice, so each distinct table is one node;
         a one-element table (0, a) is a leaf edge (a, None).  A node at depth
         t - 1 pins element t.  Only the edges are kept, not the tables.
@@ -301,8 +324,8 @@ class Polymatroid:
                     without, within = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
                     lowest, top = vals[-1] - vals[-2], within[0]
                     slices = [without]
-                    slices += [type(vals)(map(min, without, _shifted(within, j)))
-                               for j in range(lowest + 1, top)]
+                    if top > lowest + 1:
+                        slices += _pinned(without, within, range(lowest + 1, top))
                     if top > lowest:
                         slices.append(_shifted(within, top))
                     edges.append(tuple((j, node(vs)) for j, vs in enumerate(slices, lowest)))
@@ -387,7 +410,9 @@ class Polymatroid:
 
         Its rank function is min(f(I), f(I + t) - j) on the remaining
         elements, renumbered downward.  The extreme pins coincide with
-        ``delete`` (smallest j) and ``contract`` (largest j).
+        ``delete`` (smallest j) and ``contract`` (largest j).  It keeps its
+        own per-entry min, independent of the walks' ``_pinned`` kernel, so
+        it stays the reference the tests check that kernel against.
         """
         self._check_element(t)
         if j not in self.coordinate_range(t):

@@ -89,14 +89,17 @@ def _parse_subset(token: str, row, k: int, n: int) -> tuple[int, ...]:
     """Ascending elements of a comma list or ``empty``: distinct, then each in 1..n."""
     if token == "empty":
         return ()
-    out = []
-    for part in token.split(","):
-        if not part:
-            raise _error(row, k, f"malformed subset {token!r}")
-        out.append(_parse_int(part, row, k, "element"))
+    parts = token.split(",")
+    try:
+        out = sorted(map(int, parts))
+    except ValueError:  # only now scan part by part: the first bad one names the error
+        for part in parts:
+            if not part:
+                raise _error(row, k, f"malformed subset {token!r}") from None
+            _parse_int(part, row, k, "element")
+        raise
     if len(set(out)) != len(out):
         raise _error(row, k, f"repeated element in subset {token!r}")
-    out.sort()
     for e in out:
         if not 1 <= e <= n:
             raise _error(row, k, f"element {e} outside ground set 1..{n}")
@@ -162,8 +165,8 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
         raise ParseError(
             body[-1][0], 1, f"rank table is not total: missing subset {_subset_text(missing)}"
         )
-    entries = tuple((subset, seen[subset]) for subset in map(elements_of, range(1 << n)))
-    return RankTableDocument(n, entries)
+    # Read from its largest element down, an ascending subset sorts in mask order.
+    return RankTableDocument(n, tuple(sorted(seen.items(), key=lambda e: e[0][::-1])))
 
 
 def _parse_graph(body, kind_line: int) -> GraphDocument:

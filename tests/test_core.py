@@ -16,7 +16,7 @@ from polymat import (
     polynomial_pair,
 )
 import polymat.core
-from polymat.core import ValidationError, _first_violation, _packed, _shifted
+from polymat.core import ValidationError, _first_violation, _packed, _pinned, _shifted, _split
 from polymat.subsets import complement
 from polymat.verify import _deterministic_permutations
 
@@ -254,6 +254,44 @@ def test_walk_tables_are_bytes_up_to_255_and_tuples_past_it():
     for j in (0, 1, 17, 255):
         assert _shifted(bytes(range(j, 256)), j) == bytes(range(256 - j))
     assert _shifted((256, 300, 1000), 256) == (0, 44, 744)
+
+
+def _check_pinned_against_slice_at(P: Polymatroid) -> None:
+    """At every node of P's basis DAG, every element's pins match ``slice_at``."""
+    seen, stack = set(), [P]
+    while stack:
+        Q = stack.pop()
+        if Q.n == 1 or Q.table.values in seen:
+            continue
+        seen.add(Q.table.values)
+        for t in range(1, Q.n + 1):
+            without, within = map(_packed, _split(Q.table.values, t))
+            pins = Q.coordinate_range(t)
+            expected = [_packed(Q.slice_at(t, j).table.values) for j in pins]
+            got = _pinned(without, within, pins)
+            assert [type(g) for g in got] == [type(without)] * len(pins)
+            assert got == expected
+        stack += [Q.slice_at(1, j) for j in Q.coordinate_range(1)]
+
+
+def test_pinned_matches_the_per_entry_min_on_coverage_tables():
+    # Every node split of coverage tables n = 6-10, packed as bytes and, lifted
+    # by 300|I| past a byte, as tuples; every pin, extremes included.
+    for n in range(6, 11):
+        P = Polymatroid(coverage_table(n, 12, 4, n))
+        assert any(hi > lo + 1 for lo, hi in zip(P.coord_min, P.coord_max))
+        lifted = [v + 300 * bin(m).count("1") for m, v in enumerate(P.table.values)]
+        for Q in (P, Polymatroid(RankTable(n, lifted))):
+            _check_pinned_against_slice_at(Q)
+
+
+def test_pinned_uses_every_ramp_slice():
+    # f(I) = min(255, 255|I|) pins each element to every j in 0..255.
+    P = Polymatroid(RankTable.from_function(4, lambda s: min(255, 255 * len(s))))
+    assert P.coordinate_range(1) == range(256)
+    _check_pinned_against_slice_at(P)
+    for j in range(256):
+        assert polymat.core._RAMP[255 - j : 511 - j] == bytes(max(0, j - g) for g in range(256))
 
 
 def test_dual_of_reference(example5):

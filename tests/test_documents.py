@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import random
 import tracemalloc
 
 import pytest
@@ -16,8 +17,10 @@ from polymat.documents import (
     emit_document,
     parse_document,
 )
+from polymat.subsets import elements_of
 
 from conftest import reference_document
+from generators import coverage_table
 
 
 RANK_TABLE_TEXT = """\
@@ -111,6 +114,19 @@ def test_hypergraph_roundtrip_normalizes_member_order():
 def test_subset_order_is_irrelevant_in_rank_tables():
     flipped = RANK_TABLE_TEXT.replace("rank 1,2 1", "rank 2,1 1")
     assert parse_document(flipped) == parse_document(RANK_TABLE_TEXT)
+
+
+def test_shuffled_noncanonical_rank_table_parses_like_its_canonical_text():
+    # n = 9: lines out of mask order, elements out of order, leading zeros.
+    values = coverage_table(9, 12, 3, 1).values
+    canonical = RankTableDocument(9, tuple((elements_of(m), v) for m, v in enumerate(values)))
+    lines = emit_document(canonical).splitlines()
+    body = lines[2:]
+    random.Random(9).shuffle(body)
+    body = [line.replace("rank 1,2 ", "rank 2,1 ").replace("rank 1 ", "rank 01 ") for line in body]
+    assert "rank 2,1 " in "\n".join(body) and "rank 01 " in "\n".join(body)
+    text = "\n".join(lines[:2] + body) + "\n"
+    assert parse_document(text) == canonical == parse_document(emit_document(canonical))
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -213,6 +229,13 @@ def test_matroid_subset_errors():
     expect_error("kind matroid\nn 3\nbase 1,,2\n", 3, "malformed subset", column=6)
     expect_error("kind matroid\nn 3\nbase 2,2\n", 3, "repeated element", column=6)
     expect_error("kind matroid\nn 2\nbase 3\n", 3, "element 3 outside ground set 1..2", column=6)
+
+
+def test_subset_errors_name_the_first_bad_part():
+    head = "kind matroid\nn 3\nbase "
+    expect_error(head + "1,x,,\n", 3, "expected an integer element, got 'x'", column=6)
+    expect_error(head + "1,,x\n", 3, "malformed subset '1,,x'", column=6)
+    expect_error(head + "3,1,0\n", 3, "element 0 outside ground set", column=6)
 
 
 def test_malformed_subset():
