@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .core import Polymatroid, _once, _packed, _pinned, _shifted, _split
+from .core import Polymatroid, _once, _packed, _slices, _split
 from .polynomials import Polynomial
 
 
@@ -53,14 +53,12 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     coordinate t.  The route ``poly`` and ``coeffs`` run; ``verify`` compares
     it with the exterior half of ``polynomial_pair``, its second route.  The
     recursion bottoms out at one element, where the polynomial is 1.  The
-    first step moves ``element`` to the top;
-    the recursion then runs on ``_packed`` tables, whose halves are C-level
-    slices and whose contraction is one ``_shifted``, and adds plain
-    coefficient lists; one ``Polynomial`` is built at the root.  Slices often
-    share a rank table, so each table, pivoting on the top element, is expanded
-    once per call; the memo is freed on return.  By submodularity the lowest
-    pin's slice is the deletion f(I) itself, so only the pins strictly between
-    deletion and contraction take the min, all at once by ``core._pinned``.
+    first step moves ``element`` to the top; the recursion then runs on
+    ``_packed`` tables, whose first and second halves, f(I) and f(I + top),
+    are C-level slices that ``_slices`` turns into the contraction and the
+    remaining slices, and adds plain coefficient lists; one ``Polynomial`` is
+    built at the root.  Slices often share a rank table, so each table is
+    expanded once per call; the memo is freed on return.
     """
     if element is None:
         element = P.n
@@ -72,12 +70,8 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
             total = [1]
             half = len(values) // 2
             if half > 1:
-                without, within = values[:half], values[half:]  # f(I), f(I + top)
-                lowest, top = values[-1] - without[-1], within[0]
-                total = list(expand(_shifted(within, top)))
-                slices = [without] if top > lowest else []
-                if top > lowest + 1:
-                    slices += _pinned(without, within, range(lowest + 1, top))
+                slices = _slices(values[:half], values[half:])
+                total = list(expand(slices.pop()))  # the contraction
                 for child in map(expand, slices):
                     total += [0] * (len(child) + 1 - len(total))
                     for k, c in enumerate(child, 1):  # y * child
@@ -91,9 +85,9 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     return Polynomial(tuple(total), "y")
 
 
-def interior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial:
+def interior_by_slices(P: Polymatroid) -> Polynomial:
     """Interior polynomial via the slice recursion applied to the dual."""
-    return Polynomial(exterior_by_slices(P.dual(), element).coeffs, "x")
+    return Polynomial(exterior_by_slices(P.dual()).coeffs, "x")
 
 
 def _weights(lows: Sequence[int], highs: Sequence[int]) -> list[int]:
@@ -162,25 +156,3 @@ def check_duality(P: Polymatroid) -> DualityReport:
     interior, exterior = polynomial_pair(P)
     dual_interior, dual_exterior = polynomial_pair(P.dual())
     return DualityReport(interior, exterior, dual_interior, dual_exterior)
-
-
-class InvarianceReport(NamedTuple):
-    permutation: tuple[int, ...]
-    interior: Polynomial
-    exterior: Polynomial
-    relabeled_interior: Polynomial
-    relabeled_exterior: Polynomial
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.interior == self.relabeled_interior
-            and self.exterior == self.relabeled_exterior
-        )
-
-
-def check_permutation_invariance(P: Polymatroid, sigma: Sequence[int]) -> InvarianceReport:
-    """Both polynomials are unchanged by relabeling the ground set."""
-    interior, exterior = polynomial_pair(P)
-    relabeled_interior, relabeled_exterior = polynomial_pair(P.relabel(sigma))
-    return InvarianceReport(tuple(sigma), interior, exterior, relabeled_interior, relabeled_exterior)

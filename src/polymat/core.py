@@ -222,6 +222,26 @@ def _pinned(
     return [(low - drop).to_bytes(size, "little") for drop in drops]
 
 
+def _slices(
+    without: bytes | tuple[int, ...], within: bytes | tuple[int, ...]
+) -> list[bytes | tuple[int, ...]]:
+    """The slice table of every pin of the element the halves f(I), f(I + t) split on,
+    deletion first and contraction last, in the halves' packing.
+
+    The pins run from f(E) - f(E - t) up to f({t}).  By submodularity the lowest
+    pin's slice is the deletion f(I) and the highest pin's the contraction
+    f(I + t) - f({t}), one ``_shifted``; with one pin they are the same table,
+    listed once.  Only the pins strictly between take the min, all at once by
+    ``_pinned``.
+    """
+    lowest, top = within[-1] - without[-1], within[0]
+    if top == lowest:
+        return [without]
+    if top == lowest + 1:
+        return [without, _shifted(within, top)]
+    return [without, *_pinned(without, within, range(lowest + 1, top)), _shifted(within, top)]
+
+
 def _split(values: Sequence[int], t: int) -> tuple[list[int], list[int]]:
     """(f(I), f(I + t)) over the subsets I of the other elements, renumbered downward.
 
@@ -302,15 +322,12 @@ class Polymatroid:
 
         Pins the lowest element to each j from f(E) - f(E - 1) to f({1}) and
         recurses on that slice, whose table min(f(I), f(I + 1) - j) over the
-        other elements (the theorem behind ``slice_at``) is half the size.
-        Every slice in range is nonempty, so every root-to-leaf path is a
-        basis.  By submodularity the lowest pin's slice is the deletion f(I)
-        and the highest pin's is the contraction f(I + 1) - f({1}), so only
-        the pins strictly between them take the min, all at once by ``_pinned``.
+        other elements (the theorem behind ``slice_at``) is half the size and
+        comes from ``_slices`` of the even and odd entries, f(I) and f(I + 1).
+        Every slice in range is nonempty, so every root-to-leaf path is a basis.
 
-        Tables are ``_packed``: the even and odd entries are C-level slices, the
-        contraction one ``_shifted``, the middle pins one wide-integer subtraction
-        each, and a ``bytes`` memo key caches its hash.
+        Tables are ``_packed``, so the halves are C-level slices and a ``bytes``
+        memo key caches its hash.
         Many prefixes reach the same slice, so each distinct table is one node;
         a one-element table (0, a) is a leaf edge (a, None).  A node at depth
         t - 1 pins element t.  Only the edges are kept, not the tables.
@@ -321,13 +338,8 @@ class Polymatroid:
         def node(vals: bytes | tuple[int, ...]) -> int:
             if vals not in node_of:
                 if len(vals) > 2:
-                    without, within = vals[0::2], vals[1::2]  # f(I) and f(I + lowest)
-                    lowest, top = vals[-1] - vals[-2], within[0]
-                    slices = [without]
-                    if top > lowest + 1:
-                        slices += _pinned(without, within, range(lowest + 1, top))
-                    if top > lowest:
-                        slices.append(_shifted(within, top))
+                    slices = _slices(vals[0::2], vals[1::2])  # f(I) and f(I + 1)
+                    lowest = vals[-1] - vals[-2]  # the first pin: f(E) - f(E - 1)
                     edges.append(tuple((j, node(vs)) for j, vs in enumerate(slices, lowest)))
                 else:
                     edges.append(((vals[1], None),))
@@ -411,8 +423,8 @@ class Polymatroid:
         Its rank function is min(f(I), f(I + t) - j) on the remaining
         elements, renumbered downward.  The extreme pins coincide with
         ``delete`` (smallest j) and ``contract`` (largest j).  It keeps its
-        own per-entry min, independent of the walks' ``_pinned`` kernel, so
-        it stays the reference the tests check that kernel against.
+        own per-entry min, independent of the walks' ``_slices``, so it stays
+        the reference the tests check ``_slices`` against.
         """
         self._check_element(t)
         if j not in self.coordinate_range(t):

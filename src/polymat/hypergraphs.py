@@ -207,6 +207,11 @@ class GirthPrefixRow(NamedTuple):
         return self.interior_binomial == self.girth_reaches
 
 
+def _lacking(families: dict[int, frozenset[int]], other: dict[int, frozenset[int]]) -> list[int]:
+    """The masks in any group of ``families`` that no group of ``other`` holds, sorted."""
+    return sorted(frozenset().union(*families.values()) - frozenset().union(*other.values()))
+
+
 class HypergraphStructureReport(NamedTuple):
     """Connectivity-level structure against the polymatroid-level one.
 
@@ -232,8 +237,19 @@ class HypergraphStructureReport(NamedTuple):
                 self.split_threshold == self.rank_drop_threshold,
                 f"{self.split_threshold} vs {self.rank_drop_threshold}",
             ),
-            ("two-component-family-bridge", self.two_component == self.hyperplane_complements, ""),
-            ("unique-cycle-family-bridge", self.unique_cycle == self.circuits, ""),
+            (
+                "two-component-family-bridge",
+                self.two_component == self.hyperplane_complements,
+                f"two-component only {_lacking(self.two_component, self.hyperplane_complements)}, "
+                "hyperplane complements only "
+                f"{_lacking(self.hyperplane_complements, self.two_component)}",
+            ),
+            (
+                "unique-cycle-family-bridge",
+                self.unique_cycle == self.circuits,
+                f"unique-cycle only {_lacking(self.unique_cycle, self.circuits)}, "
+                f"circuits only {_lacking(self.circuits, self.unique_cycle)}",
+            ),
             (
                 "double-cycle-threshold-bridge",
                 self.double_cycle_threshold == self.deficiency_threshold,

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .activity import (
-    check_duality,
-    check_permutation_invariance,
-    exterior_by_slices,
-    polynomial_pair,
-)
+from .activity import check_duality, exterior_by_slices, polynomial_pair
 from .core import Polymatroid
 from .graphs import Graph, cut_formula_check
 from .hypergraphs import Hypergraph, structure_report
@@ -68,7 +63,9 @@ def _formula_misses(P: Polymatroid, formula: Callable, bound: int, poly: Polynom
 def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
     interior, exterior = polynomial_pair(P)
     # The slice recursion reads the rank table, not the basis DAG behind the
-    # pair and ``basis_count``, so its value at 1 is an independent count.
+    # pair and ``basis_count``, so its value at 1 is an independent count: the
+    # two walks share only ``core._slices``, a pure function of two halves,
+    # and no table, memo or DAG.
     by_slices = [exterior_by_slices(P, t) for t in range(1, P.n + 1)]
     count = by_slices[-1](1)
     c0, c1 = first_exterior_coefficients(P)
@@ -87,7 +84,7 @@ def verify_polymatroid(P: Polymatroid) -> list[CheckResult]:
     perm_bad = [
         sigma
         for sigma in _deterministic_permutations(P.n)
-        if not check_permutation_invariance(P, sigma).passed
+        if polynomial_pair(P.relabel(sigma)) != (interior, exterior)
     ]
     checks = [
         (

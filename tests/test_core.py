@@ -16,7 +16,15 @@ from polymat import (
     polynomial_pair,
 )
 import polymat.core
-from polymat.core import ValidationError, _first_violation, _packed, _pinned, _shifted, _split
+from polymat.core import (
+    ValidationError,
+    _first_violation,
+    _packed,
+    _pinned,
+    _shifted,
+    _slices,
+    _split,
+)
 from polymat.subsets import complement
 from polymat.verify import _deterministic_permutations
 
@@ -256,8 +264,9 @@ def test_walk_tables_are_bytes_up_to_255_and_tuples_past_it():
     assert _shifted((256, 300, 1000), 256) == (0, 44, 744)
 
 
-def _check_pinned_against_slice_at(P: Polymatroid) -> None:
-    """At every node of P's basis DAG, every element's pins match ``slice_at``."""
+def _check_slices_against_slice_at(P: Polymatroid) -> None:
+    """At every node of P's basis DAG, every element's pins match ``slice_at``:
+    all of them by ``_slices``, deletion and contraction included, and by ``_pinned``."""
     seen, stack = set(), [P]
     while stack:
         Q = stack.pop()
@@ -268,9 +277,9 @@ def _check_pinned_against_slice_at(P: Polymatroid) -> None:
             without, within = map(_packed, _split(Q.table.values, t))
             pins = Q.coordinate_range(t)
             expected = [_packed(Q.slice_at(t, j).table.values) for j in pins]
-            got = _pinned(without, within, pins)
-            assert [type(g) for g in got] == [type(without)] * len(pins)
-            assert got == expected
+            for got in (_slices(without, within), _pinned(without, within, pins)):
+                assert [type(g) for g in got] == [type(without)] * len(pins)
+                assert got == expected
         stack += [Q.slice_at(1, j) for j in Q.coordinate_range(1)]
 
 
@@ -282,14 +291,14 @@ def test_pinned_matches_the_per_entry_min_on_coverage_tables():
         assert any(hi > lo + 1 for lo, hi in zip(P.coord_min, P.coord_max))
         lifted = [v + 300 * bin(m).count("1") for m, v in enumerate(P.table.values)]
         for Q in (P, Polymatroid(RankTable(n, lifted))):
-            _check_pinned_against_slice_at(Q)
+            _check_slices_against_slice_at(Q)
 
 
 def test_pinned_uses_every_ramp_slice():
     # f(I) = min(255, 255|I|) pins each element to every j in 0..255.
     P = Polymatroid(RankTable.from_function(4, lambda s: min(255, 255 * len(s))))
     assert P.coordinate_range(1) == range(256)
-    _check_pinned_against_slice_at(P)
+    _check_slices_against_slice_at(P)
     for j in range(256):
         assert polymat.core._RAMP[255 - j : 511 - j] == bytes(max(0, j - g) for g in range(256))
 
