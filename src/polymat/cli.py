@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain, islice
 from typing import Callable
 
 from .activity import exterior_by_slices, interior_by_slices
@@ -136,7 +137,8 @@ def _family_payload(groups: dict[int, frozenset[int]]) -> dict[str, list[list[in
 
 # -- commands -----------------------------------------------------------
 # Each takes (document, polymatroid, summary fields, verify suite, options) and
-# returns (text lines, JSON payload, exit code); ``main`` prints one of the two.
+# returns (text lines, JSON payload, exit code); ``main`` prints one of the two,
+# the lines 4,096 at a time, so they may come lazily.
 
 
 def _cmd_validate(doc, P, fields, suite, args):
@@ -151,14 +153,11 @@ def _cmd_validate(doc, P, fields, suite, args):
 def _cmd_bases(doc, P, fields, suite, args):
     """list every basis vector"""
     bases = P.bases()
-    lines = [f"bases {len(bases)}"]
     payload = {"count": len(bases)}
     if args.machine:
-        payload["bases"] = [list(b) for b in bases]
-    else:
-        row = " ".join(["%d"] * P.n)
-        lines += [row % b for b in bases]
-    return lines, payload, 0
+        payload["bases"] = bases  # json writes the tuples as arrays: no list copy
+    row = " ".join(["%d"] * P.n)
+    return chain([f"bases {len(bases)}"], map(row.__mod__, bases)), payload, 0
 
 
 def _polynomials(P: Polymatroid, kind: str) -> list[tuple[str, Polynomial]]:
@@ -303,7 +302,10 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({**payload, "command": args.command, "kind": doc.kind},
                              sort_keys=True, indent=2))
         else:
-            print("\n".join(lines))
+            # No command returns zero lines, so this writes what one print of them all would.
+            lines = iter(lines)
+            while chunk := list(islice(lines, 4096)):
+                sys.stdout.write("\n".join(chunk) + "\n")
         return code
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)

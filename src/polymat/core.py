@@ -271,6 +271,8 @@ class Polymatroid:
     Tables valid by theorem come in through ``_trusted`` and skip them.
     A polymatroid is immutable: its basis DAG, bases, dual, polynomial
     pair and structure maps are computed once (``_once``) and then shared.
+    Its minors are slices: ``slice_at`` at an element's lowest pin is the
+    deletion and at its highest pin the contraction.
     """
 
     def __init__(self, table: RankTable):
@@ -402,29 +404,15 @@ class Polymatroid:
         values = [v - shift for v, shift in zip(self.table.values, shifts)]
         return Polymatroid._trusted(self.n, values)
 
-    def delete(self, t: int) -> Polymatroid:
-        """Drop element t: f(I) on the remaining elements, renumbered downward."""
-        self._check_element(t)
-        if self.n == 1:
-            raise ValueError("cannot delete from a one-element ground set")
-        return Polymatroid._trusted(self.n - 1, _split(self.table.values, t)[0])
-
-    def contract(self, t: int) -> Polymatroid:
-        """Contract element t: f(I + t) - f({t}) on the remaining elements, renumbered downward."""
-        self._check_element(t)
-        if self.n == 1:
-            raise ValueError("cannot contract a one-element ground set")
-        ft = self.coord_max[t - 1]
-        return Polymatroid._trusted(self.n - 1, [v - ft for v in _split(self.table.values, t)[1]])
-
     def slice_at(self, t: int, j: int) -> Polymatroid:
         """Polymatroid of bases with coordinate t pinned to j, t projected out.
 
         Its rank function is min(f(I), f(I + t) - j) on the remaining
-        elements, renumbered downward.  The extreme pins coincide with
-        ``delete`` (smallest j) and ``contract`` (largest j).  It keeps its
-        own per-entry min, independent of the walks' ``_slices``, so it stays
-        the reference the tests check ``_slices`` against.
+        elements, renumbered downward.  By submodularity the lowest pin's
+        slice is the deletion f(I) and the highest pin's the contraction
+        f(I + t) - f({t}).  It keeps its own per-entry min, independent of the
+        walks' ``_slices``, so it stays the reference the tests check
+        ``_slices`` against.
         """
         self._check_element(t)
         if j not in self.coordinate_range(t):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Polymatroid, _once
+from .core import Polymatroid, SizeLimitError, _once
 from .graphs import Graph, _component_table, _components
 from .structure import (
     binomial_prefix_check,
@@ -32,6 +32,10 @@ from .structure import (
 from .subsets import bits, by_size, complement, full_mask, subset_sums
 
 
+# The partition walks name each vertex by one character (``chr``).
+MAX_VERTICES = 0x110000
+
+
 class Hypergraph:
     """Multiset of hyperedges over named vertices."""
 
@@ -39,6 +43,8 @@ class Hypergraph:
         names = tuple(vertices)
         if not names:
             raise ValueError("a hypergraph needs at least one vertex")
+        if len(names) > MAX_VERTICES:
+            raise SizeLimitError(f"vertex count {len(names)} exceeds the limit {MAX_VERTICES}")
         if len(set(names)) != len(names):
             raise ValueError("vertex names must be unique")
         self.vertices = names

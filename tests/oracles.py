@@ -82,7 +82,7 @@ def minor_ranks(table, t, j) -> dict[tuple[int, ...], tuple[int, int, int]]:
     """Deletion, contraction and slice ranks of element t, straight from their definitions.
 
     Maps each subset I of the other elements, renumbered downward past t
-    as the minors number them, to (f(I), f(I + t) - f({t}),
+    as ``slice_at`` numbers them, to (f(I), f(I + t) - f({t}),
     min(f(I), f(I + t) - j)).  Ranks are read by element tuple.
     """
     others = [e for e in range(1, table.n + 1) if e != t]

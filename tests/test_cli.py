@@ -22,7 +22,7 @@ from polymat.subsets import elements_of
 from polymat.verify import CheckResult
 
 from conftest import reference_document
-from generators import ladder_tables
+from generators import coverage_table, ladder_tables
 
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -110,8 +110,9 @@ def _rank_table_file(tmp_path, table) -> str:
 
 @pytest.mark.parametrize(
     "table",
-    [ladder_tables()["coverage-9a"], RankTable(1, (0, 3))],
-    ids=["coverage-9a", "one-element"],
+    # main writes text 4,096 lines at a time: coverage-12's 19,651 lines cross four chunks.
+    [ladder_tables()["coverage-9a"], RankTable(1, (0, 3)), coverage_table(12, 10, 3, 1)],
+    ids=["coverage-9a", "one-element", "coverage-12"],
 )
 def test_bases_output_is_pinned(capsys, tmp_path, table):
     path = _rank_table_file(tmp_path, table)

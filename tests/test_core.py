@@ -310,36 +310,35 @@ def test_dual_of_reference(example5):
 
 
 def test_delete_and_contract_ranks(example5):
-    D = example5.delete(4)
+    # The lowest pin's slice is the deletion, the highest pin's the contraction.
+    lowest, highest = example5.coord_min[3], example5.coord_max[3]
+    assert lowest < highest
+    D = example5.slice_at(4, lowest)
     assert D.n == 4
     # Remaining elements 1,2,3,5 are renumbered 1,2,3,4.
     assert D.rank_of((1, 2, 3)) == example5.rank_of((1, 2, 3))
     assert D.rank_of((4,)) == example5.rank_of((5,))
-    C = example5.contract(4)
+    C = example5.slice_at(4, highest)
     assert C.rank_of((4,)) == example5.rank_of((4, 5)) - example5.rank_of((4,))
 
 
-def test_slice_endpoints_are_delete_and_contract(small_corpus, wide_instances):
-    # Both slice walks rely on this theorem to read the lowest pin as the deletion.
-    for P in small_corpus + wide_instances:
-        if P.n == 1:
-            continue
-        for t in range(1, P.n + 1):
-            assert P.slice_at(t, P.coord_min[t - 1]).table == P.delete(t).table
-            assert P.slice_at(t, P.coord_max[t - 1]).table == P.contract(t).table
-
-
-def test_minors_match_their_definitions_past_n5(wide_instances):
-    # The minors split the table by runs of masks; the oracle reads every
-    # rank by element tuple, at every element t and every pin j, n = 6-10.
+def test_minors_match_their_definitions_past_n5(small_corpus, wide_instances):
+    # Both slice walks read the lowest pin's slice as the deletion and the
+    # highest pin's as the contraction.  The slices split the table by runs
+    # of masks; the oracle reads every rank by element tuple, at every
+    # element t and every pin j: n = 6-10, and the small corpus's n = 2-5.
     ladder = [Polymatroid(table) for table in LADDER.values()]
-    for P in wide_instances + ladder:
+    for P in [Q for Q in small_corpus if Q.n > 1] + wide_instances + ladder:
         for t in range(1, P.n + 1):
-            D, C = P.delete(t), P.contract(t)
-            for j in P.coordinate_range(t):
+            lowest, highest = P.coord_min[t - 1], P.coord_max[t - 1]
+            for j in range(lowest, highest + 1):
                 S = P.slice_at(t, j)
-                for subset, expected in minor_ranks(P.table, t, j).items():
-                    assert (D.rank_of(subset), C.rank_of(subset), S.rank_of(subset)) == expected
+                for subset, (deletion, contraction, sliced) in minor_ranks(P.table, t, j).items():
+                    assert S.rank_of(subset) == sliced
+                    if j == lowest:
+                        assert deletion == sliced
+                    if j == highest:
+                        assert contraction == sliced
 
 
 def test_relabel_matches_its_definition_past_n5(wide_instances):
@@ -375,10 +374,8 @@ def test_slice_rejects_out_of_range(example5):
 
 def test_one_element_ground_set_cannot_shrink():
     P = Polymatroid(RankTable(1, [0, 2]))
-    with pytest.raises(ValueError):
-        P.delete(1)
-    with pytest.raises(ValueError):
-        P.contract(1)
+    with pytest.raises(ValueError, match="one-element"):
+        P.slice_at(1, 2)
 
 
 def test_relabel_permutes_ranks(example5):
@@ -394,8 +391,6 @@ def _derived_constructions(P):
     yield P.grounded()
     yield P.relabel(list(range(P.n, 0, -1)))
     for t in range(1, P.n + 1):
-        yield P.delete(t)
-        yield P.contract(t)
         for j in P.coordinate_range(t):
             yield P.slice_at(t, j)
 

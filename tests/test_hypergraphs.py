@@ -8,7 +8,9 @@ import random
 import pytest
 
 from polymat.activity import polynomial_pair
+from polymat.core import SizeLimitError
 from polymat.hypergraphs import (
+    MAX_VERTICES,
     Hypergraph,
     double_cycle_threshold,
     split_threshold,
@@ -75,6 +77,15 @@ def test_constructor_rejects_bad_input():
         Hypergraph(("a",), [()])
     with pytest.raises(ValueError):
         Hypergraph(("a",), [])
+
+
+def test_vertex_count_stops_at_one_character_per_vertex():
+    # The partition walks label each vertex by chr(k), so k < 0x110000.
+    assert MAX_VERTICES == 1_114_112
+    names = tuple(map(str, range(MAX_VERTICES + 1)))
+    assert Hypergraph(names[:-1], [("0", "1")]).vertex_count == MAX_VERTICES
+    with pytest.raises(SizeLimitError, match="vertex count 1114113 exceeds the limit 1114112"):
+        Hypergraph(names, [("0", "1")])
 
 
 def test_incidence_graph_shape():

@@ -28,12 +28,8 @@ KEPT = {
     "tables; its package caller is the KEPT Polymatroid.rank_of",
     "core.Polymatroid.rank_of": "tests/test_acceptance.py and tests/oracles.py read ranks of "
     "element sets",
-    "core.Polymatroid.delete": "test_delete_and_contract_ranks, "
-    "test_slice_endpoints_are_delete_and_contract",
-    "core.Polymatroid.contract": "test_delete_and_contract_ranks, "
-    "test_slice_endpoints_are_delete_and_contract",
     "core.Polymatroid.slice_at": "test_slice_bases_partition_by_coordinate, "
-    "test_minors_match_their_definitions_past_n5",
+    "test_minors_match_their_definitions_past_n5, test_delete_and_contract_ranks",
     "documents.emit_document": "tests/test_documents.py round trips; CI writes its large "
     "inputs with it",
     "graphs.Graph.subset_rank": "test_subset_rank_is_vertices_minus_components; "
