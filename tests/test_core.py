@@ -322,23 +322,31 @@ def test_delete_and_contract_ranks(example5):
     assert C.rank_of((4,)) == example5.rank_of((4, 5)) - example5.rank_of((4,))
 
 
-def test_minors_match_their_definitions_past_n5(small_corpus, wide_instances):
-    # Both slice walks read the lowest pin's slice as the deletion and the
-    # highest pin's as the contraction.  The slices split the table by runs
-    # of masks; the oracle reads every rank by element tuple, at every
-    # element t and every pin j: n = 6-10, and the small corpus's n = 2-5.
+def test_slice_endpoints_are_delete_and_contract(small_corpus, wide_instances):
+    # Both slice walks rely on this theorem to read the lowest pin as the
+    # deletion; the oracle computes both minors from their definitions.
     ladder = [Polymatroid(table) for table in LADDER.values()]
     for P in [Q for Q in small_corpus if Q.n > 1] + wide_instances + ladder:
         for t in range(1, P.n + 1):
             lowest, highest = P.coord_min[t - 1], P.coord_max[t - 1]
-            for j in range(lowest, highest + 1):
+            D, C = P.slice_at(t, lowest), P.slice_at(t, highest)
+            for subset, (deletion, _, _) in minor_ranks(P.table, t, lowest).items():
+                assert D.rank_of(subset) == deletion
+            for subset, (_, contraction, _) in minor_ranks(P.table, t, highest).items():
+                assert C.rank_of(subset) == contraction
+
+
+def test_minors_match_their_definitions_past_n5(small_corpus, wide_instances):
+    # The slices split the table by runs of masks; the oracle reads every
+    # rank by element tuple, at every element t and every pin j: n = 6-10,
+    # and the small corpus's n = 2-5.
+    ladder = [Polymatroid(table) for table in LADDER.values()]
+    for P in [Q for Q in small_corpus if Q.n > 1] + wide_instances + ladder:
+        for t in range(1, P.n + 1):
+            for j in P.coordinate_range(t):
                 S = P.slice_at(t, j)
-                for subset, (deletion, contraction, sliced) in minor_ranks(P.table, t, j).items():
+                for subset, (_, _, sliced) in minor_ranks(P.table, t, j).items():
                     assert S.rank_of(subset) == sliced
-                    if j == lowest:
-                        assert deletion == sliced
-                    if j == highest:
-                        assert contraction == sliced
 
 
 def test_relabel_matches_its_definition_past_n5(wide_instances):
