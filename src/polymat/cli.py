@@ -10,7 +10,8 @@ Commands: validate, bases, poly, structure, coeffs, verify; options
 into polymatroids before the polynomial commands run.
 
 Exit codes: 0 success, 1 a verification or in-range coefficient check
-failed, 2 the input could not be parsed, validated, or sized.
+failed, 2 the input could not be read, parsed, validated or sized, or the
+output could not be written.
 """
 
 from __future__ import annotations
@@ -76,10 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:  # bad input, like a parse error; ``main`` keeps OSError for output
+        raise ValueError(f"cannot read input: {exc}") from None
 
 
 def _size_cap(args, default: int, size: int, what: str) -> None:
@@ -306,9 +310,10 @@ def main(argv: list[str] | None = None) -> int:
             lines = iter(lines)
             while chunk := list(islice(lines, 4096)):
                 sys.stdout.write("\n".join(chunk) + "\n")
+        sys.stdout.flush()  # here, so a closed pipe is reported below and not at interpreter exit
         return code
     except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # Parse errors, axiom violations, size guards, and other bad input.

@@ -16,23 +16,20 @@ only with an explicit ``unchecked`` flag.  The two families and the two
 threshold maps are computed once per polymatroid, as read-only mappings.
 
 The 2^n-mask scans are whole-table passes.  The thresholds read the
-distinct (level, size) pairs from one ``set`` of ``zip``.  The families
-hold a set of masks as lanes: one int with one 0/1 byte per mask, byte m
-for mask m.  Mask m + t sits 2^(t-1) bytes above m, so one shift and one
-``&`` per element find the members with a one-larger superset in the set;
-read backwards (byte order "big"), the same shifts find one-smaller subsets.
+distinct (level, size) pairs from one ``set`` of ``zip``; the families
+compare the table with itself once per element, however many values.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import comb
-from operator import sub
+from operator import ne, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .activity import polynomial_pair
-from .core import _DOWN, Polymatroid, SizeLimitError, _once, _packed
+from .core import Polymatroid, SizeLimitError, _once, _packed
 from .subsets import bit, by_size, complement, elements_of, full_mask, iter_masks
 
 
@@ -57,21 +54,43 @@ class FormulaRangeError(ValueError):
 # -- flats -------------------------------------------------------------
 
 
+@_once
 def flats(P: Polymatroid) -> tuple[int, ...]:
-    """All flats, ascending by mask: the masks with no one-larger superset of equal rank."""
-    values = _packed(P.table.values)
-    return tuple(_maximal(values, set(values), P.n))
+    """The masks with no one-larger superset of equal rank, ascending; once per object."""
+    return tuple(_maximal(_packed(P.table.values), P.n))
 
 
 @_once
 def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
-    """Flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object.
-
-    A mask of rank r - 1 is such a flat when adding any missing element
-    raises its rank: no one-larger superset also has rank r - 1.
-    """
-    found = _maximal(_packed(P.table.values), [P.full_rank - 1], P.n)
+    """The flats of rank full_rank - 1 grouped by complement size j (keys 0..n); once per object."""
+    values, top = P.table.values, P.full_rank - 1
+    found = (m for m in flats(P) if values[m] == top)
     return MappingProxyType(by_size(found, P.n, lambda m: P.n - m.bit_count()))
+
+
+def _maximal(values: bytes | tuple[int, ...], n: int, order: str = "little") -> Iterator[int]:
+    """The masks with no one-larger superset of the same value, ascending.
+
+    ``values`` holds one value per mask, in mask order; lane m is byte m of an
+    int.  For t = n down to 1, mask m is compared with m + t, 2^(t-1) lanes
+    up: a ``bytes`` table by XOR, any other slice by slice.  Every lane starts
+    with its top bit set; subtracting 1 from the lanes without t clears it
+    where a comparison's low bits are zero, and OR-ing the comparison back
+    sets it where its top bit is.  Order "big" puts mask m at lane full - m.
+    """
+    size, run = len(values), len(values) >> 1
+    keep = high = int.from_bytes(b"\x80" * size, "little")
+    table = int.from_bytes(values, order) if type(values) is bytes else None
+    without = high >> (7 + 8 * run)  # a 1 in each lane without element n: the lower half
+    while run:
+        if table is None:
+            differ = int.from_bytes(bytes(map(ne, values[run:], values[:-run])), order)
+        else:
+            differ = table ^ table >> 8 * run
+        keep &= ((differ | high) - without) | differ
+        run >>= 1
+        without ^= without << 8 * run  # runs of `run` ones: the lanes without the next element
+    return compress(iter_masks(n), keep.to_bytes(size, order))
 
 
 # -- deficiency and circuits -------------------------------------------
@@ -90,10 +109,16 @@ def circuit_family(P: Polymatroid) -> frozenset[int]:
     """Subsets of deficiency exactly 1 all of whose proper subsets are tight.
 
     Deficiency is monotone, so these are the masks of deficiency 1 with no
-    one-smaller subset of deficiency 1: on backward lanes, the maximal ones.
+    one-smaller subset of the same deficiency: read backwards, the maximal ones.
     """
-    gaps = map(sub, P._singleton_sums(), P.table.values)
-    return frozenset(_maximal(gaps, [1], P.n, "big"))
+    gaps = _deficiencies(P)
+    return frozenset(m for m in _maximal(gaps, P.n, "big") if gaps[m] == 1)
+
+
+@_once
+def _deficiencies(P: Polymatroid) -> bytes | tuple[int, ...]:
+    """The deficiency of every mask, by mask and ``_packed``; once per object."""
+    return _packed(list(map(sub, P._singleton_sums(), P.table.values)))
 
 
 @_once
@@ -119,8 +144,7 @@ def rank_drop_thresholds(P: Polymatroid) -> Mapping[int, int]:
 @_once
 def deficiency_thresholds(P: Polymatroid) -> Mapping[int, int]:
     """r'_k for every k where it exists (0 <= k <= full deficiency); once per object."""
-    gaps = map(sub, P._singleton_sums(), P.table.values)
-    levels = set(zip(gaps, map(int.bit_count, iter_masks(P.n))))
+    levels = set(zip(_deficiencies(P), map(int.bit_count, iter_masks(P.n))))
     return _threshold_scan(levels, full_deficiency(P), P.n, "full deficiency")
 
 
@@ -145,36 +169,6 @@ def _threshold_scan(levels, top: int, n: int, what: str) -> Mapping[int, int]:
     for k in range(top - 1, -1, -1):
         best[k] = min(best[k], best[k + 1])
     return MappingProxyType(dict(enumerate(best)))
-
-
-# -- lanes: a set of masks as one int, one 0/1 byte per mask ------------
-
-_ZERO = b"\1" + bytes(255)  # ``bytes.translate`` table: 1 for a zero byte, else 0
-
-
-def _maximal(values: Iterable[int], levels, n: int, order: str = "little") -> Iterator[int]:
-    """The masks at one of ``levels`` with no one-larger superset at the same level, ascending.
-
-    ``values`` holds one value per mask, in mask order, and is read once per
-    level; a ``bytes`` table is translated.  For t = n down to 1, the lanes
-    that hold t, shifted down 2^(t-1) bytes, mark the masks below them; one
-    selector of those lanes is kept, its runs halved at each step.  Order
-    "big" puts mask m at lane full - m, so one-smaller subsets are tested.
-    """
-    found = 0
-    for level in levels:
-        if type(values) is bytes and 0 <= level < 256:
-            lanes = int.from_bytes(values.translate(_DOWN[level]).translate(_ZERO), order)
-        else:
-            lanes = int.from_bytes(bytes(map(level.__eq__, values)), order)
-        below, run = 0, 1 << (n - 1)
-        holds = int.from_bytes(bytes(run) + b"\1" * run, "little")  # the masks that hold element n
-        while run:
-            below |= (lanes & holds) >> (8 * run)
-            run >>= 1
-            holds ^= holds >> (8 * run)  # runs of `run` ones: the masks that hold the next element
-        found |= lanes & ~below
-    return compress(iter_masks(n), found.to_bytes(1 << n, order))
 
 
 # -- coefficient formulas -----------------------------------------------

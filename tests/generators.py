@@ -62,10 +62,15 @@ def wide_corpus(seed: int = 20261017) -> list[Polymatroid]:
 
 def coverage_table(n: int, universe: int, k: int, seed: int) -> RankTable:
     """Size of the union of n random k-subsets of range(universe), per subset."""
+    return weighted_coverage_table(n, [1] * universe, k, seed)
+
+
+def weighted_coverage_table(n: int, weights: list[int], k: int, seed: int) -> RankTable:
+    """Total weight of the union of n random k-subsets of the items of ``weights``, per subset."""
     rng = random.Random(seed)
-    covers = [frozenset(rng.sample(range(universe), k)) for _ in range(n)]
+    covers = [rng.sample(range(len(weights)), k) for _ in range(n)]
     return RankTable.from_function(
-        n, lambda subset: len(frozenset().union(*(covers[e - 1] for e in subset)))
+        n, lambda subset: sum(weights[x] for x in set().union(*(covers[e - 1] for e in subset)))
     )
 
 

@@ -397,6 +397,21 @@ def test_missing_file_exits_2(capsys):
     assert err.startswith("error: cannot read input")
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("options", [[], ["--machine"]])
+def test_closed_output_pipe_exits_2_as_a_write_error(capsys, monkeypatch, table_file, options):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["bases", *options, table_file]) == 2
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+    # Reading stays its own error: a directory cannot be read as a document.
+    assert cli.main(["bases", str(pathlib.Path(table_file).parent)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read input: ")
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

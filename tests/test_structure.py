@@ -31,7 +31,7 @@ from polymat import (
     rank_drop_thresholds,
 )
 
-from generators import coverage_table, doubled_k5_table, ladder_tables
+from generators import coverage_table, doubled_k5_table, ladder_tables, weighted_coverage_table
 from oracles import (
     brute_prefix_conditions,
     brute_unimodal,
@@ -99,10 +99,20 @@ def test_reference_circuit_sets(example5):
 
 
 def test_families_and_thresholds_match_brute_definitions_at_n6_to_10(wide_instances):
-    # The wide corpus and three n = 9-10 tables, each also scaled by 300 so
+    # The wide corpus and seven n = 8-10 tables, each also scaled by 300 so
     # that its values pass 255 and its families come from tuple-packed lanes.
+    # Weight 2^(i-1) on element i makes every mask a flat; at n = 8 the
+    # values fit byte lanes, where f(I) and f(I + 8) differ in the top bit alone;
+    # random item weights of 70-129 make most values distinct and past 255;
+    # unit items beside items of weight 400 give circuits among deficiencies
+    # past 255, for the backward tuple-packed lanes.
+    distinct = weighted_coverage_table(10, random.Random(3).sample(range(70, 130), 36), 3, 3)
+    heavy = weighted_coverage_table(10, [1] * 6 + [400] * 4, 2, 11)
+    assert len(set(distinct.values)) > 512 and min(distinct.values[1:]) > 255
+    assert full_deficiency(Polymatroid(heavy)) > 255 and circuit_family(Polymatroid(heavy))
     tables = [P.table for P in wide_instances]
     tables += [coverage_table(9, 8, 3, 3), coverage_table(10, 10, 3, 10), doubled_k5_table()]
+    tables += [RankTable(8, range(1 << 8)), RankTable(10, range(1 << 10)), distinct, heavy]
     for table in tables:
         for scale in (1, 300):
             n = table.n
