@@ -11,13 +11,14 @@ into polymatroids before the polynomial commands run.
 
 Exit codes: 0 success, 1 a verification or in-range coefficient check
 failed, 2 the input could not be read, parsed, validated or sized, or the
-output could not be written.
+output could not be written; a closed standard error changes none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from itertools import chain, islice
 from typing import Callable
 
@@ -76,9 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(line: str) -> None:
+    """Write a line to stderr; a closed stderr loses it and changes no exit code, as in argparse."""
+    with suppress(AttributeError, OSError):  # None: the process started with descriptor 2 closed
+        sys.stderr.write(line + "\n")
+
+
 def _read_input(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with descriptor 0 closed
+                raise OSError("standard input is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -89,11 +98,8 @@ def _read_input(path: str) -> str:
 def _size_cap(args, default: int, size: int, what: str) -> None:
     cap = args.max_n if args.max_n is not None else default
     if args.max_n is not None and args.max_n > default:
-        print(
-            f"warning: size limit raised to {args.max_n} (default {default}); "
-            "run time grows exponentially",
-            file=sys.stderr,
-        )
+        _note(f"warning: size limit raised to {args.max_n} (default {default}); "
+              "run time grows exponentially")
     if size > cap:
         raise SizeLimitError(
             f"{what} {size} exceeds the limit {cap}; raise it with --max-n"
@@ -267,20 +273,10 @@ def _cmd_coeffs(doc, P, fields, suite, args):
 def _cmd_verify(doc, P, fields, suite, args):
     """run the full identity suite for the input"""
     checks = suite()
-    lines = []
-    for check in checks:
-        if check.passed:
-            lines.append(f"PASS {check.name}")
-        else:
-            lines.append(f"FAIL {check.name} — {check.detail}")
+    lines = [f"PASS {c.name}" if c.passed else f"FAIL {c.name} — {c.detail}" for c in checks]
     good = sum(1 for c in checks if c.passed)
     lines.append(f"verify {good}/{len(checks)} checks passed")
-    payload = {
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-        "passed": good == len(checks),
-    }
+    payload = {"checks": [c._asdict() for c in checks], "passed": good == len(checks)}
     return lines, payload, 0 if good == len(checks) else 1
 
 
@@ -301,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         doc = parse_document(_read_input(args.file))
         P, fields, suite = _build_object(doc, args)
         lines, payload, code = _COMMANDS[args.command](doc, P, fields, suite, args)
+        if sys.stdout is None:  # the process started with descriptor 1 closed
+            raise OSError("standard output is closed")
         if args.machine:
             import json  # only --machine pays for the encoder's import
             print(json.dumps({**payload, "command": args.command, "kind": doc.kind},
@@ -313,11 +311,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # here, so a closed pipe is reported below and not at interpreter exit
         return code
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _note(f"error: cannot write output: {exc}")
         return 2
     except ValueError as exc:
         # Parse errors, axiom violations, size guards, and other bad input.
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
 
 

@@ -16,6 +16,7 @@ connected graph, so they share no code with the rank table that
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import _once
@@ -152,12 +153,14 @@ class Graph:
 
     @_once
     def cycle_matroid(self) -> Matroid:
-        """Tree-listing bases and component-table ranks, valid by theorem; needs connectivity."""
+        """Tree-listing bases and component-table ranks, valid by theorem.
+
+        Needs a connected graph with an edge; one vertex with loops gives rank 0."""
         trees = self.spanning_tree_masks()  # empty when disconnected
         if not trees:
             raise ValueError("cycle matroid requires a connected graph")
-        if self.vertex_count == 1:
-            raise ValueError("cycle matroid needs at least one edge in its bases")
+        if not self.edges:
+            raise ValueError("cycle matroid needs at least one edge")
         n = self.vertex_count
         ranks = [n - c for c in _component_table(n, self._edge_masks())]
         return Matroid._trusted(self.edge_count, ranks, trees)
@@ -167,7 +170,8 @@ class Graph:
         """Minimal edge cuts as edge masks, sorted by (size, mask); once per graph.
 
         Scans vertex bipartitions whose two sides both induce connected
-        subgraphs; in a connected graph these are exactly the bonds.
+        subgraphs; in a connected graph these are exactly the bonds, each found
+        once: the side holding vertex 1 is its component once the cut is removed.
         """
         if not self.is_connected():
             raise ValueError("bonds are defined here for connected graphs only")
@@ -179,24 +183,19 @@ class Graph:
             if other and self._induced_connected(side) and self._induced_connected(other):
                 out.append(sum(1 << idx for idx, e in enumerate(self._edge_masks())
                                if e & side and e & other))
-        return tuple(sorted(set(out), key=lambda m: (m.bit_count(), m)))
+        return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
     def _induced_connected(self, vertex_mask: int) -> bool:
         return _components(vertex_mask, self._edge_masks(), (1 << self.edge_count) - 1) == 1
 
     def bond_size_counts(self) -> dict[int, int]:
-        """Number of bonds of each size j (only sizes that occur)."""
-        counts: dict[int, int] = {}
-        for m in self.bonds():
-            counts[m.bit_count()] = counts.get(m.bit_count(), 0) + 1
-        return dict(sorted(counts.items()))
+        """Number of bonds of each size j, ascending (only sizes that occur)."""
+        return Counter(m.bit_count() for m in self.bonds())  # bonds come sorted by size
 
     def edge_connectivity(self) -> int | None:
-        """Size of the smallest bond; None for a single-vertex graph."""
+        """Size of the smallest bond; None for one vertex, as ``polymat verify`` on a loop finds."""
         cuts = self.bonds()
-        if not cuts:
-            return None
-        return cuts[0].bit_count()
+        return cuts[0].bit_count() if cuts else None
 
     def girth(self) -> int | None:
         """Length of the shortest cycle, or None in a forest."""

@@ -68,7 +68,7 @@ def hyperplane_sets(P: Polymatroid) -> Mapping[int, frozenset[int]]:
     return MappingProxyType(by_size(found, P.n, lambda m: P.n - m.bit_count()))
 
 
-def _maximal(values: bytes | tuple[int, ...], n: int, order: str = "little") -> Iterator[int]:
+def _maximal(values: bytes | tuple[int, ...], n: int) -> Iterator[int]:
     """The masks with no one-larger superset of the same value, ascending.
 
     ``values`` holds one value per mask, in mask order; lane m is byte m of an
@@ -76,21 +76,21 @@ def _maximal(values: bytes | tuple[int, ...], n: int, order: str = "little") -> 
     up: a ``bytes`` table by XOR, any other slice by slice.  Every lane starts
     with its top bit set; subtracting 1 from the lanes without t clears it
     where a comparison's low bits are zero, and OR-ing the comparison back
-    sets it where its top bit is.  Order "big" puts mask m at lane full - m.
+    sets it where its top bit is.
     """
     size, run = len(values), len(values) >> 1
     keep = high = int.from_bytes(b"\x80" * size, "little")
-    table = int.from_bytes(values, order) if type(values) is bytes else None
+    table = int.from_bytes(values, "little") if type(values) is bytes else None
     without = high >> (7 + 8 * run)  # a 1 in each lane without element n: the lower half
     while run:
         if table is None:
-            differ = int.from_bytes(bytes(map(ne, values[run:], values[:-run])), order)
+            differ = int.from_bytes(bytes(map(ne, values[run:], values[:-run])), "little")
         else:
             differ = table ^ table >> 8 * run
         keep &= ((differ | high) - without) | differ
         run >>= 1
         without ^= without << 8 * run  # runs of `run` ones: the lanes without the next element
-    return compress(iter_masks(n), keep.to_bytes(size, order))
+    return compress(iter_masks(n), keep.to_bytes(size, "little"))
 
 
 # -- deficiency and circuits -------------------------------------------
@@ -109,10 +109,11 @@ def circuit_family(P: Polymatroid) -> frozenset[int]:
     """Subsets of deficiency exactly 1 all of whose proper subsets are tight.
 
     Deficiency is monotone, so these are the masks of deficiency 1 with no
-    one-smaller subset of the same deficiency: read backwards, the maximal ones.
+    one-smaller subset of the same deficiency.  The deficiency table reversed
+    holds mask full - m at m, so they are the complements of its maximal masks.
     """
-    gaps = _deficiencies(P)
-    return frozenset(m for m in _maximal(gaps, P.n, "big") if gaps[m] == 1)
+    backward, full = _deficiencies(P)[::-1], full_mask(P.n)
+    return frozenset(full ^ m for m in _maximal(backward, P.n) if backward[m] == 1)
 
 
 @_once

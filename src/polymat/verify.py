@@ -53,7 +53,7 @@ def _deterministic_permutations(n: int) -> list[tuple[int, ...]]:
     identity = tuple(range(1, n + 1))
     reverse = tuple(range(n, 0, -1))
     rotate = tuple(list(range(2, n + 1)) + [1])
-    return [p for p in {reverse, rotate} if p != identity] or [identity]
+    return [p for p in {reverse, rotate} if p != identity]
 
 
 def _formula_misses(P: Polymatroid, formula: Callable, bound: int, poly: Polynomial) -> list[int]:
@@ -171,7 +171,7 @@ def verify_graph(G: Graph) -> list[CheckResult]:
             bonds == hyperplane_complements,
             f"{sorted(bonds)} vs {sorted(hyperplane_complements)}",
         ),
-        *(cut_formula_check(G, ec - 1).checks() if ec is not None and ec >= 1 else ()),
+        *(cut_formula_check(G, ec - 1).checks() if ec is not None else ()),
     ]
     return verify_matroid(M) + [_result(*c) for c in checks]
 

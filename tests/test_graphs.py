@@ -197,6 +197,16 @@ def test_cycle_matroid_requires_connected_graph_with_edges():
                 G.cycle_matroid()
 
 
+def test_one_vertex_with_loops_is_a_rank_zero_cycle_matroid():
+    for loops in (1, 2):
+        G = Graph(1, [(1, 1)] * loops)
+        P = G.cycle_matroid().to_polymatroid()
+        assert (P.n, P.full_rank, P.bases()) == (loops, 0, ((0,) * loops,))
+        assert G.bonds() == () and G.edge_connectivity() is None
+        checks = verify_graph(G)  # no cut identity without a bond
+        assert len(checks) == 22 and all(c.passed for c in checks)
+
+
 def test_cycle_matroid_is_built_once():
     G = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
     assert G.cycle_matroid() is G.cycle_matroid()
@@ -239,6 +249,7 @@ def test_bonds_match_oracle():
             continue
         got = {mask_to_indices(m) for m in G.bonds()}
         assert got == brute_bonds(G.vertex_count, list(G.edges))
+        assert len(got) == len(G.bonds())  # each bond once
         checked += 1
     assert checked >= 20
 
