@@ -193,7 +193,7 @@ class Graph:
         return Counter(m.bit_count() for m in self.bonds())  # bonds come sorted by size
 
     def edge_connectivity(self) -> int | None:
-        """Size of the smallest bond; None for one vertex, as ``polymat verify`` on a loop finds."""
+        """Size of the smallest bond; None for one vertex, which the CLI accepts with loops."""
         cuts = self.bonds()
         return cuts[0].bit_count() if cuts else None
 
