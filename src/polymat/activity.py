@@ -11,6 +11,7 @@ inactive ones; both therefore evaluate to the number of bases at 1.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -56,33 +57,39 @@ def exterior_by_slices(P: Polymatroid, element: int | None = None) -> Polynomial
     first step moves ``element`` to the top; the recursion then runs on
     ``_packed`` tables, whose first and second halves, f(I) and f(I + top),
     are C-level slices that ``_slices`` turns into the contraction and the
-    remaining slices, and adds plain coefficient lists; one ``Polynomial`` is
-    built at the root.  Slices often share a rank table, so each table is
+    remaining slices.  Slices often share a rank table, so each table is
     expanded once per call; the memo is freed on return.
+
+    Each polynomial is one integer, coefficient k at bit k * w, so y * X is a
+    shift and a sum of polynomials one integer sum.  A lane of w bits holds
+    every coefficient, with w the bit length of the box size
+    prod(coord_max - coord_min + 1): every node is a slice of P, whose bases
+    are bases of P with some coordinates fixed, so each coefficient of its
+    polynomial (and of the sum of its children's) is at most P's basis count,
+    which is at most the box size.  Coefficients are never negative, so no
+    lane borrows from another.  One ``Polynomial`` is decoded at the root.
     """
     if element is None:
         element = P.n
     P._check_element(element)
-    expanded: dict[bytes | tuple[int, ...], list[int]] = {}
+    w = prod(hi - lo + 1 for lo, hi in zip(P.coord_min, P.coord_max)).bit_length()
+    expanded: dict[bytes | tuple[int, ...], int] = {}
 
-    def expand(values: bytes | tuple[int, ...]) -> list[int]:
+    def expand(values: bytes | tuple[int, ...]) -> int:
         if values not in expanded:
-            total = [1]
+            total = 1
             half = len(values) // 2
             if half > 1:
                 slices = _slices(values[:half], values[half:])
-                total = list(expand(slices.pop()))  # the contraction
-                for child in map(expand, slices):
-                    total += [0] * (len(child) + 1 - len(total))
-                    for k, c in enumerate(child, 1):  # y * child
-                        total[k] += c
+                total = expand(slices.pop()) + (sum(map(expand, slices)) << w)
             expanded[values] = total
         return expanded[values]
 
     without, within = _split(P.table.values, element)
     total = expand(_packed(without + within))
     del expand  # it refers to itself: free the memo now, not at a cyclic collection
-    return Polynomial(tuple(total), "y")
+    lane = (1 << w) - 1
+    return Polynomial(tuple((total >> k * w) & lane for k in range(P.n)), "y")
 
 
 def interior_by_slices(P: Polymatroid) -> Polynomial:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import count
 from typing import NamedTuple, Union
 
-from .subsets import elements_of
+from .subsets import bit, elements_of
 
 
 class ParseError(ValueError):
@@ -63,7 +63,7 @@ def _tokenize(text: str):
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
-        tokens = stripped.split()
+        tokens = tuple(stripped.split())  # a tuple of strings: untracked by the collector
         if tokens:
             rows.append((lineno, tokens, stripped))
     return rows
@@ -147,26 +147,48 @@ def _parse_count(body, kind_line: int, header: str, noun: str, what: str) -> int
 
 
 def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
+    """Entries keyed by subset mask, read in one pass.
+
+    A total table has 2^n lines, so only elements up to the bit length of the
+    line count (``cap``) can occur in one; their canonical spellings map to
+    their bits.  A part the map cannot read, or a repeat (fewer bits than
+    parts), sends the line to ``_parse_subset``, which raises its error or
+    returns the subset.  A subset past ``cap`` keeps its tuple as key: the
+    table is not total, and no mask of a huge element is ever built.
+    """
     n = _parse_count(body, kind_line, "n", "value", "ground-set size")
-    seen: dict[tuple[int, ...], int] = {}
-    for row in body[1:]:
+    rows = body[1:]
+    cap = min(n, len(rows).bit_length())
+    bits = {str(e): bit(e) for e in range(1, cap + 1)}
+    seen: dict[int | tuple[int, ...], int] = {}
+    for row in rows:
         tokens = row[1]
         if tokens[0] != "rank":
             raise _error(row, 0, f"expected 'rank', got {tokens[0]!r}")
         if len(tokens) != 3:
             raise _error(row, 0, "'rank' lines need a subset and a value")
-        subset = _parse_subset(tokens[1], row, 1, n)
-        if subset in seen:
+        parts = tokens[1].split(",")
+        try:
+            key = sum(map(bits.__getitem__, parts))
+            read = key.bit_count() == len(parts)
+        except KeyError:
+            read = False
+        if not read:
+            subset = _parse_subset(tokens[1], row, 1, n)
+            key = subset if subset and subset[-1] > cap else sum(map(bit, subset))
+        if key in seen:
             raise _error(row, 1, f"duplicate rank entry for {tokens[1]!r}")
-        seen[subset] = _parse_int(tokens[2], row, 2, "rank value")
+        seen[key] = _parse_int(tokens[2], row, 2, "rank value")
     # Entries are distinct subsets of 1..n: a bit length <= n means fewer than 2^n, never built.
+    # The first missing mask is at most len(seen), so within cap, where every key is a mask.
     if len(seen).bit_length() <= n:
-        missing = next(s for s in map(elements_of, count()) if s not in seen)
-        raise ParseError(
-            body[-1][0], 1, f"rank table is not total: missing subset {_subset_text(missing)}"
-        )
-    # Read from its largest element down, an ascending subset sorts in mask order.
-    return RankTableDocument(n, tuple(sorted(seen.items(), key=lambda e: e[0][::-1])))
+        missing = next(m for m in count() if m not in seen)
+        missing_text = _subset_text(elements_of(missing))
+        raise ParseError(body[-1][0], 1, f"rank table is not total: missing subset {missing_text}")
+    subsets = [()]  # in mask order: each element doubles the list
+    for e in range(1, n + 1):
+        subsets += [s + (e,) for s in subsets]
+    return RankTableDocument(n, tuple(zip(subsets, map(seen.__getitem__, range(1 << n)))))
 
 
 def _parse_graph(body, kind_line: int) -> GraphDocument:

@@ -7,7 +7,10 @@ separate routes.  None of these functions import from the library
 beyond plain data (rank tables are consumed through their ``values``,
 indexed by mask, and their ``rank_of`` method, or as rank lists indexed
 by mask; the hypertree listing reads a graph's spanning trees, which
-``test_graphs`` checks against ``brute_spanning_trees``).
+``test_graphs`` checks against ``brute_spanning_trees``).  The one
+exception is ``tuple_keyed_rank_table``, a reference for the rank-table
+parser's keying and ordering, which shares the library's tokenizer, subset
+and integer readers and error type so that errors can be compared exactly.
 """
 
 from __future__ import annotations
@@ -390,3 +393,43 @@ def brute_unimodal(seq) -> bool:
         and all(seq[i] >= seq[i + 1] for i in range(p, len(seq) - 1))
         for p in range(len(seq))
     )
+
+
+# -- documents ----------------------------------------------------------------
+
+
+def tuple_keyed_rank_table(text: str):
+    """A ``kind rank-table`` document read with every subset keyed by its
+    ascending element tuple, then sorted into mask order by reading each
+    tuple from its largest element down: a keying that shares nothing with
+    the library's mask-keyed one.
+
+    Only the keying, the totality search and the ordering are its own; the
+    tokenizer, the ``n`` header, subsets, integers and errors are the
+    library's, so both parsers raise the same (line, column, reason).
+    """
+    from polymat import documents as d
+
+    rows = d._tokenize(text)
+    kind_line, body = rows[0][0], rows[1:]
+    n = d._parse_count(body, kind_line, "n", "value", "ground-set size")
+    seen: dict[tuple[int, ...], int] = {}
+    for row in body[1:]:
+        tokens = row[1]
+        if tokens[0] != "rank":
+            raise d._error(row, 0, f"expected 'rank', got {tokens[0]!r}")
+        if len(tokens) != 3:
+            raise d._error(row, 0, "'rank' lines need a subset and a value")
+        subset = d._parse_subset(tokens[1], row, 1, n)
+        if subset in seen:
+            raise d._error(row, 1, f"duplicate rank entry for {tokens[1]!r}")
+        seen[subset] = d._parse_int(tokens[2], row, 2, "rank value")
+    if len(seen).bit_length() <= n:  # fewer than 2^n distinct subsets of 1..n
+        ascending = (
+            tuple(e + 1 for e in range(m.bit_length()) if m >> e & 1) for m in itertools.count()
+        )
+        missing = next(s for s in ascending if s not in seen)
+        raise d.ParseError(
+            body[-1][0], 1, f"rank table is not total: missing subset {d._subset_text(missing)}"
+        )
+    return d.RankTableDocument(n, tuple(sorted(seen.items(), key=lambda e: e[0][::-1])))

@@ -214,3 +214,19 @@ SMALL_MULTIGRAPHS = [G for G in seeded_multigraphs() if G.edge_count <= 10]
 @pytest.mark.parametrize("G", SMALL_MULTIGRAPHS, ids=lambda G: f"{G.edge_count}-edges")
 def test_tuple_tables_match_bytes_tables_on_cycle_matroids(G):
     assert_tuple_path_matches_bytes_path(G.cycle_matroid().to_polymatroid(), c=300)
+
+
+def test_packed_slice_walk_matches_direct_route():
+    # The walk keeps each polynomial as one integer with a lane per
+    # coefficient, so a lane narrower than the box bound carries into the
+    # next.  The wide corpus runs through test_slice_recursion_every_element;
+    # these add a tuple-table walk (values past 255) and a coefficient past 2^12.
+    coverage = [Polymatroid(coverage_table(*COVERAGE[n])) for n in (9, 10)]
+    lifted_copy = lifted(coverage[0], 300)
+    wide = Polymatroid(coverage_table(12, 10, 3, 1))
+    assert type(_packed(lifted_copy.table.values)) is tuple
+    assert max(polynomial_pair(wide)[1].coeffs) > 1 << 12
+    for P in [*coverage, lifted_copy, wide]:
+        exterior = polynomial_pair(P)[1]
+        for t in range(1, P.n + 1):
+            assert exterior_by_slices(P, t) == exterior

@@ -21,6 +21,7 @@ from polymat.subsets import elements_of
 
 from conftest import reference_document
 from generators import coverage_table
+from oracles import tuple_keyed_rank_table
 
 
 RANK_TABLE_TEXT = """\
@@ -273,3 +274,99 @@ def test_sample_files_roundtrip():
         text = sample.read_text()
         doc = parse_document(text)
         assert parse_document(emit_document(doc)) == doc
+
+
+# -- the mask-keyed parser against the tuple-keyed reference ---------------------
+
+
+def outcome(parse, text: str):
+    """The parsed document, or the (line, column, reason) of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return (err.line, err.column, err.reason)
+
+
+def spelled(e: int, rng: random.Random) -> str:
+    """Element e as int() reads it: plain, leading zero, plus, underscore or Arabic-Indic."""
+    return rng.choice([
+        str(e), f"0{e}", f"+{e}", f"0_{e}", "".join(chr(0x660 + int(c)) for c in str(e)),
+    ])
+
+
+def noisy_rank_table(n: int, rng: random.Random) -> list[str]:
+    """A total table over 1..n in shuffled lines, some subsets out of order or
+    spelled as int() but not the canonical form reads them, with comments and
+    blank lines between."""
+    body = []
+    for m in range(1 << n):
+        subset = list(elements_of(m))
+        if rng.random() < 0.5:
+            rng.shuffle(subset)
+        if subset and rng.random() < 0.3:
+            k = rng.randrange(len(subset))
+            subset[k] = spelled(subset[k], rng)
+        token = ",".join(map(str, subset)) or "empty"
+        body.append(f"rank {token} {rng.randrange(20)}" + (" # note" if rng.random() < 0.1 else ""))
+    rng.shuffle(body)
+    for _ in range(rng.randrange(4)):
+        body.insert(rng.randrange(len(body) + 1), rng.choice(["", "# comment", "   "]))
+    return ["kind rank-table", f"n {n}", *body]
+
+
+def mutations(lines: list[str], n: int, rng: random.Random) -> dict[str, list[str]]:
+    """One broken copy of a noisy table per error class."""
+    head, body = lines[:2], lines[2:]
+    ranked = [k for k, line in enumerate(body) if line.startswith("rank ")]
+
+    def at(k: int, line: str) -> list[str]:
+        return head + body[:k] + [line] + body[k + 1 :]
+
+    def inserted(line: str) -> list[str]:
+        k = rng.randrange(len(body) + 1)
+        return head + body[:k] + [line] + body[k:]
+
+    k = rng.choice(ranked)
+    _, token, value = body[k].split("#")[0].split()
+    # Three or four lines read elements up to 2 (``cap``) by their bits; 21 and 22 keep tuple keys.
+    wide = ["kind rank-table", f"n {n + 21}"]
+    return {
+        "bad n header": [head[0], "n x", *body],
+        "n header missing": [head[0], *body],
+        "bad head": at(k, body[k].replace("rank", "rnak", 1)),
+        "value missing": at(k, f"rank {token}"),
+        "extra token": at(k, f"rank {token} {value} 1"),
+        "malformed": inserted(f"rank 1,,{n} 0"),
+        "trailing comma": inserted(f"rank {n}, 0"),
+        "repeated": inserted(f"rank {n},1,{n} 0"),
+        "repeated spelled": inserted("rank 1,01 0"),
+        "out of range": inserted(f"rank {n + 1} 0"),
+        "zero": inserted("rank 0 0"),
+        "underscore ten": inserted("rank 1_0 0"),
+        "empty mixed": inserted("rank empty,1 0"),
+        "not an integer": inserted("rank 1,x 0"),
+        "duplicate": inserted(body[k].split("#")[0]),
+        "duplicate spelled": [*head, f"rank {spelled(1, rng)} 0", "rank empty 0", "rank 1 1"],
+        "duplicate empty": inserted("rank empty 0"),
+        "missing subset": head + body[:k] + body[k + 1 :],
+        "bad value": at(k, f"rank {token} x"),
+        "above cap": [*wide, "rank 21 1", "rank empty 0", "rank 1 1"],
+        "above cap duplicate": [*wide, "rank 21,2 1", "rank 2,21 1", "rank 1 1"],
+        "above cap missing": [*wide, "rank empty 0", "rank 1 1", "rank 2,22 0", "rank 22 0"],
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_mask_keyed_parse_matches_tuple_keyed_reference(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        lines = noisy_rank_table(n, rng)
+        text = "\n".join(lines) + "\n"
+        doc = parse_document(text)
+        assert isinstance(doc, RankTableDocument)
+        assert doc == tuple_keyed_rank_table(text)
+        for name, broken in mutations(lines, n, rng).items():
+            text = "\n".join(broken) + "\n"
+            expected = outcome(tuple_keyed_rank_table, text)
+            assert not isinstance(expected, RankTableDocument), name
+            assert outcome(parse_document, text) == expected, name
