@@ -170,10 +170,9 @@ def _parse_rank_table(body, kind_line: int) -> RankTableDocument:
         parts = tokens[1].split(",")
         try:
             key = sum(map(bits.__getitem__, parts))
-            read = key.bit_count() == len(parts)
         except KeyError:
-            read = False
-        if not read:
+            key = None
+        if key is None or key.bit_count() != len(parts):
             subset = _parse_subset(tokens[1], row, 1, n)
             key = subset if subset and subset[-1] > cap else sum(map(bit, subset))
         if key in seen:
